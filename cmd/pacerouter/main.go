@@ -37,9 +37,9 @@ import (
 	"time"
 
 	"pace/internal/cli"
+	"pace/internal/httpserve"
 	"pace/internal/obs"
 	"pace/internal/router"
-	"pace/internal/targetserver"
 )
 
 func main() {
@@ -89,7 +89,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pacerouter:", err)
 			os.Exit(2)
 		}
-		tokens, err = targetserver.ParseAuthTokens(f)
+		tokens, err = httpserve.ParseAuthTokens(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pacerouter:", err)

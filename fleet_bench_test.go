@@ -57,10 +57,11 @@ func benchFleetCampaign(b *testing.B, traced bool, workers int) {
 	defer rt.Close() //nolint:errcheck
 	rurl := "http://" + raddr
 
-	admin, err := remote.NewAdmin(rurl, remote.Options{ClientID: "fleet-bench"})
+	rc, err := remote.NewClient(rurl, remote.Options{ClientID: "fleet-bench"})
 	if err != nil {
 		b.Fatal(err)
 	}
+	admin := rc.Admin()
 	defer admin.Close()
 
 	runCfg.Workers = workers

@@ -73,10 +73,11 @@ func fleetTraceRun(t *testing.T, seed int64, workers int) ([]obs.SpanRecord, []*
 	}
 	rurl := "http://" + raddr
 
-	admin, err := remote.NewAdmin(rurl, remote.Options{ClientID: "fleet-trace"})
+	rc, err := remote.NewClient(rurl, remote.Options{ClientID: "fleet-trace"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	admin := rc.Admin()
 	actx, acancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	_, err = admin.CreateTarget(actx, wire.TargetSpec{ID: "victim", Dataset: "dmv", Model: "fcn", Seed: seed})
 	acancel()

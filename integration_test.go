@@ -37,7 +37,6 @@ func TestIntegrationFullAttackChain(t *testing.T) {
 	cards := experiments.Cards(w.Test)
 	before := metrics.Mean(target.QErrors(qs, cards))
 
-	rng := rand.New(rand.NewSource(5))
 	runCfg := core.Config{
 		NumPoison: cfg.NumPoison,
 		Generator: w.GenCfg(),
@@ -50,7 +49,11 @@ func TestIntegrationFullAttackChain(t *testing.T) {
 	runCfg.Speculation.HP = w.HP()
 	runCfg.Speculation.Train = w.TrainCfg()
 
-	res, err := core.Run(context.Background(), target, w.WGen, w.Test, w.History, runCfg, rng)
+	campaign := &core.Campaign{
+		Target: target, Workload: w.WGen, Test: w.Test, History: w.History,
+		Config: runCfg, Seed: 5,
+	}
+	res, err := campaign.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

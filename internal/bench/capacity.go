@@ -105,7 +105,7 @@ func (r *runner) capacityPoint(ctx context.Context, c Cell, ds, model string, n 
 	// and aggregate admitted throughput, both of which should scale
 	// linearly while per-tenant latency stays flat.
 	client, err := remote.NewClient(rurl, remote.Options{
-		ClientID: "pacebench-capacity", CoalesceWindow: -1,
+		ClientID: "pacebench-capacity", CoalesceWindow: 0,
 	})
 	if err != nil {
 		return Record{}, err

@@ -393,7 +393,7 @@ func (r *runner) loadCell(ctx context.Context, c Cell, off int64) (Record, error
 		id := fmt.Sprintf("bench-%s-%s", r.suite.Name, c.ID())
 		client, err := remote.NewClient(r.opts.TargetURL, remote.Options{
 			ClientID: "pacebench-load", AuthToken: r.opts.AuthToken,
-			Codec: codec, CoalesceWindow: -1, // off: one wire round trip per sample
+			Codec: codec, CoalesceWindow: 0, // off: one wire round trip per sample
 		})
 		if err != nil {
 			return Record{}, err

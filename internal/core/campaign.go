@@ -1,23 +1,16 @@
 package core
 
 import (
-	"context"
-	"errors"
-	"math/rand"
-
 	"pace/internal/ce"
-	"pace/internal/obs"
 	"pace/internal/remote"
 	"pace/internal/workload"
 )
 
 // Campaign is the public entry point for a full PACE attack: fill in the
-// scenario, pick a seed, call Run. It replaces the old positional
-// core.Run(ctx, target, wgen, test, history, cfg, rng) signature with
-// named fields — every component of the threat model is visible at the
-// call site — and takes reproducibility by value: a Campaign with the
-// same fields and Seed produces bit-identical results on every run, at
-// any Config.Workers setting.
+// scenario, pick a seed, call Run. Named fields keep every component of
+// the threat model visible at the call site, and reproducibility is
+// taken by value: a Campaign with the same fields and Seed produces
+// bit-identical results on every run, at any Config.Workers setting.
 type Campaign struct {
 	// Target is the attacker's remote view of the victim estimator
 	// (§2.2): opaque predictions plus the incremental-update surface the
@@ -50,41 +43,4 @@ type Campaign struct {
 	// Seed fixes every random draw of the campaign. Two runs with equal
 	// Seed (and equal other fields) are bit-identical.
 	Seed int64
-}
-
-// Run executes the complete PACE attack of §3: speculate and train a
-// surrogate (§4), adversarially train the poisoning generator with the
-// anomaly detector (§5–6), generate the poisoning workload, and execute
-// it against the target (§3.4).
-//
-// The campaign honors ctx (deadline or cancellation) and survives an
-// unreliable target: calls are retried per Config.Retry, failed
-// speculation degrades to the Linear surrogate, unlabeled oracle calls
-// are skipped, and — when Config.CheckpointSink is set — training is
-// checkpointed so a killed campaign can resume via Config.Resume. On
-// error the returned Result carries whatever state was reached (it is
-// non-nil whenever training started).
-func (c *Campaign) Run(ctx context.Context) (*Result, error) {
-	target := c.Target
-	switch {
-	case target == nil && c.TargetURL == "":
-		return nil, errors.New("core: campaign needs a Target or a TargetURL")
-	case target != nil && c.TargetURL != "":
-		return nil, errors.New("core: Target and TargetURL are mutually exclusive")
-	case target == nil:
-		rc, err := remote.NewClient(c.TargetURL, c.Remote)
-		if err != nil {
-			return nil, err
-		}
-		defer rc.Close()
-		target = rc.Target(c.Remote.Tenant)
-	}
-	// Derive the trace ID from the seed: two runs of the same campaign
-	// carry the same trace ID, so their stitched fleet traces are
-	// directly comparable (and the determinism tests can diff them).
-	if tel := c.Config.Telemetry; tel != nil && tel.Tracer != nil {
-		tel.Tracer.SetTraceID(obs.DeriveTraceID(c.Seed))
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	return runCampaign(ctx, target, c.Workload, c.Test, c.History, c.Config, rng)
 }

@@ -57,8 +57,8 @@ func TestRunCompletesUnderFlakyProfile(t *testing.T) {
 	cfg := chaosRunCfg()
 	cfg.Faults = faults.NewInjector(faults.Flaky(), 11)
 
-	res, err := Run(bgCtx, chaosBlackBox(f, 11), f.wgen, f.tw, f.wgen.Random(60), cfg,
-		rand.New(rand.NewSource(11)))
+	res, err := (&Campaign{Target: chaosBlackBox(f, 11), Workload: f.wgen, Test: f.tw,
+		History: f.wgen.Random(60), Config: cfg, Seed: 11}).Run(bgCtx)
 	if err != nil {
 		t.Fatalf("flaky campaign failed: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestRunCompletesUnderFlakyProfile(t *testing.T) {
 
 // TestRunSurvivesEveryProfile drives the full pipeline through every
 // named fault profile, including mid-run and immediate cancellation.
-// The invariant is absolute: core.Run never panics, and any returned
+// The invariant is absolute: Campaign.Run never panics, and any returned
 // error is a sane campaign-level error, not corrupted state.
 func TestRunSurvivesEveryProfile(t *testing.T) {
 	f := newFixture(t, 12)
@@ -99,8 +99,8 @@ func TestRunSurvivesEveryProfile(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			cfg := chaosRunCfg()
 			cfg.Faults = faults.NewInjector(p, 12)
-			res, err := Run(bgCtx, chaosBlackBox(f, 12), f.wgen, f.tw, history, cfg,
-				rand.New(rand.NewSource(12)))
+			res, err := (&Campaign{Target: chaosBlackBox(f, 12), Workload: f.wgen, Test: f.tw,
+				History: history, Config: cfg, Seed: 12}).Run(bgCtx)
 			if err != nil {
 				// An unreliable enough target may legitimately defeat the
 				// campaign; the contract is a clean error plus whatever
@@ -131,8 +131,8 @@ func TestRunSurvivesMidRunCancellation(t *testing.T) {
 		}
 		cfg := chaosRunCfg()
 		cfg.Faults = faults.NewInjector(faults.Chaos(), 13)
-		res, err := Run(ctx, chaosBlackBox(f, 13), f.wgen, f.tw, history, cfg,
-			rand.New(rand.NewSource(13)))
+		res, err := (&Campaign{Target: chaosBlackBox(f, 13), Workload: f.wgen, Test: f.tw,
+			History: history, Config: cfg, Seed: 13}).Run(ctx)
 		cancel()
 		if err == nil {
 			// The campaign may have finished before the cancel landed;
@@ -168,8 +168,8 @@ func TestRunResumesFromCheckpointEndToEnd(t *testing.T) {
 		cfg.CheckpointEvery = 1
 		cfg.CheckpointSink = sink
 		cfg.Resume = cp
-		return Run(ctx, chaosBlackBox(f, 21), f.wgen, f.tw, history, cfg,
-			rand.New(rand.NewSource(21)))
+		return (&Campaign{Target: chaosBlackBox(f, 21), Workload: f.wgen, Test: f.tw,
+			History: history, Config: cfg, Seed: 21}).Run(ctx)
 	}
 
 	refRes, err := runWith(21, func(*Checkpoint) error { return nil }, nil, bgCtx)

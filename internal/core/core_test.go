@@ -352,7 +352,7 @@ func TestRunFullPipeline(t *testing.T) {
 	before := metrics.Mean(bb.QErrors(qs, cards))
 
 	forced := ce.FCN
-	res, err := Run(bgCtx, bb, f.wgen, f.tw, history, Config{
+	campaign := &Campaign{Target: bb, Workload: f.wgen, Test: f.tw, History: history, Seed: 8, Config: Config{
 		NumPoison: 50,
 		ForceType: &forced,
 		Surrogate: surrogate.TrainConfig{
@@ -363,7 +363,8 @@ func TestRunFullPipeline(t *testing.T) {
 		Generator: generator.Config{Hidden: 16},
 		Detector:  detector.Config{Hidden: 16, Epochs: 15},
 		Trainer:   TrainerConfig{Batch: 24, InnerIters: 5, OuterIters: 4},
-	}, rng)
+	}}
+	res, err := campaign.Run(bgCtx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"pace/internal/generator"
 	"pace/internal/obs"
 	"pace/internal/query"
+	"pace/internal/remote"
 	"pace/internal/resilience"
 	"pace/internal/surrogate"
 	"pace/internal/workload"
@@ -152,34 +153,42 @@ type Result struct {
 	TrainTime, GenTime, AttackTime time.Duration
 }
 
-// Run executes the complete PACE attack with explicitly positional
-// arguments.
-//
-// Deprecated: Run predates the Campaign API and survives only as a thin
-// wrapper for existing callers. New code should fill a Campaign and call
-// its Run method — same pipeline, named fields, and a Seed instead of a
-// caller-managed *rand.Rand.
-func Run(ctx context.Context, target ce.Target, wgen *workload.Generator, test, history []workload.Labeled,
-	cfg Config, rng *rand.Rand) (*Result, error) {
-	return runCampaign(ctx, target, wgen, test, history, cfg, rng)
-}
-
-// runCampaign is the shared pipeline body behind Campaign.Run and the
-// deprecated positional Run: speculate and train a surrogate (§4),
-// adversarially train the poisoning generator with the anomaly detector
-// (§5–6), generate the poisoning workload, and execute it against the
-// target (§3.4).
+// Run executes the complete PACE attack of §3: speculate and train a
+// surrogate (§4), adversarially train the poisoning generator with the
+// anomaly detector (§5–6), generate the poisoning workload, and execute
+// it against the target (§3.4).
 //
 // The campaign honors ctx (deadline or cancellation) and survives an
-// unreliable target: calls are retried per cfg.Retry, failed
+// unreliable target: calls are retried per Config.Retry, failed
 // speculation degrades to the Linear surrogate, unlabeled oracle calls
-// are skipped, and — when cfg.CheckpointSink is set — training is
-// checkpointed so a killed campaign can resume via cfg.Resume. On error
-// the returned Result carries whatever state was reached (it is non-nil
-// whenever training started).
-func runCampaign(ctx context.Context, target ce.Target, wgen *workload.Generator, test, history []workload.Labeled,
-	cfg Config, rng *rand.Rand) (res *Result, err error) {
-	cfg = cfg.withDefaults()
+// are skipped, and — when Config.CheckpointSink is set — training is
+// checkpointed so a killed campaign can resume via Config.Resume. On
+// error the returned Result carries whatever state was reached (it is
+// non-nil whenever training started).
+func (c *Campaign) Run(ctx context.Context) (res *Result, err error) {
+	target := c.Target
+	switch {
+	case target == nil && c.TargetURL == "":
+		return nil, errors.New("core: campaign needs a Target or a TargetURL")
+	case target != nil && c.TargetURL != "":
+		return nil, errors.New("core: Target and TargetURL are mutually exclusive")
+	case target == nil:
+		rc, err := remote.NewClient(c.TargetURL, c.Remote)
+		if err != nil {
+			return nil, err
+		}
+		defer rc.Close()
+		target = rc.Target(c.Remote.Tenant)
+	}
+	// Derive the trace ID from the seed: two runs of the same campaign
+	// carry the same trace ID, so their stitched fleet traces are
+	// directly comparable (and the determinism tests can diff them).
+	if tel := c.Config.Telemetry; tel != nil && tel.Tracer != nil {
+		tel.Tracer.SetTraceID(obs.DeriveTraceID(c.Seed))
+	}
+	rng := rand.New(rand.NewSource(c.Seed))
+	wgen, test, history := c.Workload, c.Test, c.History
+	cfg := c.Config.withDefaults()
 	res = &Result{}
 	ctx = obs.NewContext(ctx, cfg.Telemetry)
 	reg := cfg.Telemetry.Registry()
@@ -311,8 +320,8 @@ func runCampaign(ctx context.Context, target ce.Target, wgen *workload.Generator
 	if execPol.Retryable == nil {
 		execPol.Retryable = RetryableOracleError
 	}
-	_, execErr := execPol.Do(ectx, nil, func(c context.Context) error {
-		return target.ExecuteWorkload(c, res.Poison, res.PoisonCards)
+	_, execErr := execPol.Do(ectx, nil, func(ctx context.Context) error {
+		return target.ExecuteWorkload(ctx, res.Poison, res.PoisonCards)
 	})
 	espan.End()
 	res.AttackTime = time.Since(attackStart)
@@ -369,7 +378,7 @@ func encodings(w []workload.Labeled, wgen *workload.Generator) [][]float64 {
 
 // CraftPoison produces a poisoning workload of size n with the given
 // baseline method against a trained surrogate. PACE itself must go
-// through Run (it needs the full trainer); passing PACE here panics.
+// through Campaign.Run (it needs the full trainer); passing PACE here panics.
 func CraftPoison(ctx context.Context, m Method, sur *ce.Estimator, wgen *workload.Generator,
 	genCfg generator.Config, n int, rng *rand.Rand) ([]*query.Query, []float64) {
 	oracle := EngineOracle(wgen)

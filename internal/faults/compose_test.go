@@ -61,10 +61,11 @@ func startRemote(t *testing.T, bb ce.Target) *remote.RemoteTarget {
 	t.Helper()
 	srv := targetserver.New(bb, testMeta(), targetserver.Config{})
 	hs := httptest.NewServer(srv.Handler())
-	rt, err := remote.New(hs.URL, remote.Options{CoalesceWindow: 0, ClientID: "compose-test"})
+	rc, err := remote.NewClient(hs.URL, remote.Options{CoalesceWindow: 0, ClientID: "compose-test"})
 	if err != nil {
-		t.Fatalf("remote.New: %v", err)
+		t.Fatalf("remote.NewClient: %v", err)
 	}
+	rt := rc.Target("")
 	t.Cleanup(func() {
 		rt.Close()
 		hs.Close()

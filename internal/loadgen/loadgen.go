@@ -6,25 +6,29 @@
 // process a shedding server must survive: a closed-loop client would
 // politely slow down exactly when the test should hurt.
 //
-// Two firing modes share one outcome ledger:
+// One firing loop serves two plans:
 //
-//   - Run offers a fixed uniform rate (the classic constant-QPS loop);
+//   - Run offers a fixed uniform rate (the classic constant-QPS plan);
 //   - RunSchedule fires a pre-planned workloadgen.Schedule — skewed
 //     clients, bursty interarrivals, per-arrival SLO classes — and the
 //     Report additionally splits outcomes per SLO class and per client.
+//
+// Every arrival fires at its absolute due time and its latency runs
+// from that due time, so a late generator shows up as latency instead
+// of silently thinning the offered stream.
 package loadgen
 
 import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pace/internal/ce"
 	"pace/internal/metrics"
 	"pace/internal/query"
 	"pace/internal/remote"
+	"pace/internal/workloadgen"
 )
 
 // Estimate is the probe the generator fires: one estimate call against
@@ -34,10 +38,9 @@ type Estimate func(ctx context.Context, q *query.Query) (float64, error)
 // Config shapes one load run.
 type Config struct {
 	// QPS is the offered request rate (required, > 0 for Run; ignored
-	// by RunSchedule, where the schedule defines the timing). The
-	// usable ceiling is bounded by the scheduler tick: intervals
-	// truncate at 1ns, so rates beyond ~1e9 QPS all collapse to
-	// back-to-back ticks rather than panicking.
+	// by RunSchedule, where the schedule defines the timing). Planned
+	// intervals truncate at 1ns, so rates beyond ~1e9 QPS all collapse
+	// to back-to-back arrivals.
 	QPS float64
 	// Duration is how long to offer load (default 10s; ignored by
 	// RunSchedule, which runs to the end of its schedule).
@@ -88,13 +91,13 @@ type ClassReport struct {
 
 // ClientReport is one client identity's outcome split.
 type ClientReport struct {
-	Class   string `json:"class,omitempty"`
-	Offered int64  `json:"offered"`
-	Sent    int64  `json:"sent"`
-	OK      int64  `json:"ok"`
-	Shed    int64  `json:"shed_429"`
-	Errors  int64  `json:"errors"`
-	ClientDropped int64 `json:"client_dropped"`
+	Class         string `json:"class,omitempty"`
+	Offered       int64  `json:"offered"`
+	Sent          int64  `json:"sent"`
+	OK            int64  `json:"ok"`
+	Shed          int64  `json:"shed_429"`
+	Errors        int64  `json:"errors"`
+	ClientDropped int64  `json:"client_dropped"`
 }
 
 // Report is the outcome of one load run. Latencies are milliseconds.
@@ -192,7 +195,7 @@ type collector struct {
 }
 
 // record books one completed request. class and client are "" for the
-// uniform loop (no splits).
+// uniform plan (no splits).
 func (c *collector) record(out outcome, ms float64, class, client string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -238,30 +241,31 @@ func (c *collector) record(out outcome, ms float64, class, client string) {
 	}
 }
 
-// arrival books one planned arrival and whether it was dropped at the
-// in-flight cap (one arrival, one outcome: dropped arrivals never also
-// count as sent).
-func (c *collector) arrival(dropped bool, class, client string) {
+// arrival books n planned arrivals of one client and whether they were
+// dropped at the in-flight cap or the run's horizon (one arrival, one
+// outcome: dropped arrivals never also count as sent).
+func (c *collector) arrival(n int64, dropped bool, class, client string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rep.Offered++
+	c.rep.Offered += n
 	if dropped {
-		c.rep.ClientDropped++
+		c.rep.ClientDropped += n
 	} else {
-		c.rep.Sent++
+		c.rep.Sent += n
 	}
 	if class != "" {
 		ca := c.classAcc(class)
-		ca.rep.Offered++
+		ca.rep.Offered += n
 		if dropped {
-			ca.rep.ClientDropped++
+			ca.rep.ClientDropped += n
 		}
 	}
 	if client != "" {
 		cl := c.clientAcc(client)
-		cl.Offered++
+		cl.Class = class
+		cl.Offered += n
 		if dropped {
-			cl.ClientDropped++
+			cl.ClientDropped += n
 		}
 	}
 }
@@ -328,59 +332,26 @@ func (c *collector) finish(targetQPS float64, elapsed time.Duration) Report {
 }
 
 // Run offers cfg.QPS of estimate traffic over the queries (round-robin)
-// for cfg.Duration, then waits for stragglers and reports. ctx cancels
-// the run early.
+// for cfg.Duration, then waits for stragglers and reports. It is
+// RunSchedule's loop over a one-client uniform plan: arrival i is due at
+// i intervals from the start, planned lazily so that an extreme rate
+// costs nothing up front. ctx cancels the run early.
 func Run(ctx context.Context, est Estimate, queries []*query.Query, cfg Config) Report {
 	cfg = cfg.withDefaults()
-	interval := time.Duration(float64(time.Second) / cfg.QPS)
-	// Clamp: above ~1e9 QPS the computed tick truncates to zero, and
-	// time.NewTicker panics on non-positive intervals. 1ns is the
-	// effective rate ceiling — ticks then fire back to back and the
-	// achieved rate is whatever the host can schedule.
-	if interval < time.Nanosecond {
-		interval = time.Nanosecond
-	}
-	deadline := time.Now().Add(cfg.Duration)
-
-	var (
-		col      collector
-		inFlight atomic.Int64
-		wg       sync.WaitGroup
-	)
-
-	start := time.Now()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	i := 0
-loop:
-	for time.Now().Before(deadline) {
-		select {
-		case <-ctx.Done():
-			break loop
-		case <-ticker.C:
-		}
-		q := queries[i%len(queries)]
-		i++
-		dropped := inFlight.Load() >= int64(cfg.MaxInFlight)
-		col.arrival(dropped, "", "")
-		if dropped {
-			continue
-		}
-		inFlight.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer inFlight.Add(-1)
-			rctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-			defer cancel()
-			t0 := time.Now()
-			_, err := est(rctx, q)
-			ms := float64(time.Since(t0).Microseconds()) / 1e3
-			col.record(classify(err), ms, "", "")
-		}()
-	}
-	wg.Wait()
-	return col.finish(cfg.QPS, time.Since(start))
+	// Intervals truncate to whole nanoseconds; 1ns is the floor, so rates
+	// past ~1e9 QPS all plan back-to-back arrivals.
+	interval := max(time.Duration(float64(time.Second)/cfg.QPS), time.Nanosecond)
+	return fireLoop(ctx, func(ctx context.Context, _ string, q *query.Query) (float64, error) {
+		return est(ctx, q)
+	}, plan{
+		n: int((cfg.Duration + interval - 1) / interval),
+		at: func(i int) workloadgen.Arrival {
+			return workloadgen.Arrival{T: time.Duration(i) * interval, Query: i % len(queries)}
+		},
+		clients: []workloadgen.Client{{}}, // no ID, no class: no splits
+		queries: queries,
+		horizon: cfg.Duration,
+	}, cfg, cfg.QPS)
 }
 
 // Lane is one tenant's traffic stream in a multi-tenant run: its own

@@ -210,3 +210,27 @@ func TestAggregateMergesClassSplits(t *testing.T) {
 		t.Error("bronze class lost in aggregation")
 	}
 }
+
+// TestRunOffersEveryPlannedArrival: a uniform run books every planned
+// arrival exactly once — 2000 QPS for 4 s is 8000 arrivals, whatever
+// the host's timer granularity. The 0.5 ms interval is shorter than a
+// timer wake-up on a loaded host (~1 ms), so the loop must catch up on
+// overdue arrivals rather than fire one per wake-up.
+func TestRunOffersEveryPlannedArrival(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4 s open-loop run")
+	}
+	est := func(ctx context.Context, q *query.Query) (float64, error) { return 1, nil }
+	rep := Run(context.Background(), est, testQueries(), Config{
+		QPS:      2000,
+		Duration: 4 * time.Second,
+		Timeout:  time.Second,
+	})
+	if rep.Offered != 8000 {
+		t.Errorf("offered %d arrivals, planned 8000", rep.Offered)
+	}
+	if rep.Offered != rep.Sent+rep.ClientDropped {
+		t.Errorf("arrival leak: offered %d != sent %d + dropped %d",
+			rep.Offered, rep.Sent, rep.ClientDropped)
+	}
+}

@@ -26,20 +26,6 @@ type Admin struct {
 	t      *RemoteTarget // classification + counters live here
 }
 
-// NewAdmin builds an admin client for the host at baseURL
-// (scheme://host:port). Options.Tenant is ignored — admin routes carry
-// their tenant ids explicitly.
-//
-// Deprecated: use NewClient(baseURL, opts).Admin(). NewAdmin is kept as
-// a thin wrapper.
-func NewAdmin(baseURL string, opts Options) (*Admin, error) {
-	c, err := NewClient(baseURL, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Admin(), nil
-}
-
 // Close releases pooled connections.
 func (a *Admin) Close() { a.t.Close() }
 
@@ -121,7 +107,7 @@ func (a *Admin) do(ctx context.Context, method, path string, body, dst any) erro
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set(clientHeader, a.opts.ClientID)
+	req.Header.Set(wire.ClientHeader, a.opts.ClientID)
 	if a.opts.AuthToken != "" {
 		req.Header.Set("Authorization", "Bearer "+a.opts.AuthToken)
 	}
@@ -134,7 +120,7 @@ func (a *Admin) do(ctx context.Context, method, path string, body, dst any) erro
 		return fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBody))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr

@@ -13,8 +13,7 @@ import (
 
 // Client is one connection to a paced (or pacerouter) host: a shared
 // HTTP pool handing out per-tenant data-path targets and the admin
-// surface. It replaces the former split New/NewAdmin constructors,
-// which survive as thin wrappers.
+// surface.
 type Client struct {
 	base  string
 	opts  Options

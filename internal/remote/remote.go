@@ -11,10 +11,10 @@
 //     decide — so obs retry counters count each logical retry exactly
 //     once, and a fault injector wrapped around the target composes
 //     without double accounting.
-//   - Concurrent EstimateContext callers coalesce into server batches:
-//     the first caller opens a window (Options.CoalesceWindow); callers
-//     arriving inside it ride the same POST /v1/estimate, up to
-//     Options.MaxBatch queries.
+//   - With Options.CoalesceWindow set, concurrent EstimateContext
+//     callers coalesce into server batches: the first caller opens the
+//     window; callers arriving inside it ride the same POST
+//     /v1/estimate, up to Options.MaxBatch queries.
 //   - Connections pool through one http.Transport; per-call deadlines
 //     map the caller's context onto the exchange, with
 //     Options.RequestTimeout as the backstop when the context carries
@@ -106,9 +106,9 @@ type Options struct {
 	MaxBatch int
 	// CoalesceWindow is how long the first of a burst of concurrent
 	// EstimateContext calls waits for companions before flushing one
-	// batched request (default 200µs; 0 disables coalescing — every
-	// call is its own request, which the load generator relies on for
-	// per-request latency).
+	// batched request. Zero (the default) or less disables coalescing:
+	// every call is its own request, which the load generator relies on
+	// for per-request latency.
 	CoalesceWindow time.Duration
 	// RequestTimeout bounds one HTTP exchange when the caller's context
 	// has no earlier deadline (default 30s).
@@ -150,9 +150,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch > wire.MaxBatch {
 		o.MaxBatch = wire.MaxBatch
-	}
-	if o.CoalesceWindow < 0 {
-		o.CoalesceWindow = 0
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -233,22 +230,6 @@ type pendingEst struct {
 type pendingRes struct {
 	est float64
 	err error
-}
-
-// New builds a RemoteTarget for the service at baseURL — either a bare
-// scheme://host:port (optionally routed by Options.Tenant) or a full
-// tenant route scheme://host:port/v1/targets/<id>, the form README's
-// multi-tenant quickstart passes to cmd/pace -target-url.
-//
-// Deprecated: use NewClient(baseURL, opts).Target(opts.Tenant) — one
-// Client now hands out both the data-path target and the admin surface
-// over a shared connection pool. New is kept as a thin wrapper.
-func New(baseURL string, opts Options) (*RemoteTarget, error) {
-	c, err := NewClient(baseURL, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Target(opts.Tenant), nil
 }
 
 // Close flushes any open coalescing window and releases pooled
@@ -501,7 +482,7 @@ func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType 
 		// the server falls back to it when binary is disabled.
 		req.Header.Set("Accept", wire.BinaryContentType)
 	}
-	req.Header.Set(clientHeader, t.opts.ClientID)
+	req.Header.Set(wire.ClientHeader, t.opts.ClientID)
 	if t.opts.AuthToken != "" {
 		req.Header.Set("Authorization", "Bearer "+t.opts.AuthToken)
 	}
@@ -527,7 +508,7 @@ func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType 
 		return nil, "", fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBody))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, "", cerr
@@ -549,13 +530,6 @@ func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType 
 	}
 	return nil, "", t.classify(resp, raw)
 }
-
-// maxResponse bounds response bodies (mirror of the server's request cap).
-const maxResponse = 64 << 20
-
-// clientHeader mirrors targetserver.ClientHeader without importing the
-// server package into every client binary.
-const clientHeader = "X-Pace-Client"
 
 // classify maps a non-200 reply onto the pipeline's error taxonomy:
 //

@@ -76,21 +76,22 @@ func echoServer(t *testing.T, est float64) (*httptest.Server, *atomic.Int64, *at
 
 func newTarget(t *testing.T, url string, opts remote.Options) *remote.RemoteTarget {
 	t.Helper()
-	rt, err := remote.New(url, opts)
+	c, err := remote.NewClient(url, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt := c.Target(opts.Tenant)
 	t.Cleanup(rt.Close)
 	return rt
 }
 
 func TestNewRejectsBadURL(t *testing.T) {
 	for _, bad := range []string{"", "localhost:8645", "ftp://x", "tcp://1.2.3.4"} {
-		if _, err := remote.New(bad, remote.Options{}); err == nil {
-			t.Errorf("New(%q) accepted", bad)
+		if _, err := remote.NewClient(bad, remote.Options{}); err == nil {
+			t.Errorf("NewClient(%q) accepted", bad)
 		}
 	}
-	if _, err := remote.New("http://127.0.0.1:1/", remote.Options{}); err != nil {
+	if _, err := remote.NewClient("http://127.0.0.1:1/", remote.Options{}); err != nil {
 		t.Errorf("trailing slash rejected: %v", err)
 	}
 }

@@ -88,13 +88,12 @@ func (rt *Router) probe(ctx context.Context, b *backend) error {
 // threshold) the probe is skipped entirely — that skip IS the down
 // window — and the first tick past the cooldown is the half-open probe.
 func (rt *Router) healthLoop(b *backend) {
-	defer rt.wg.Done()
 	tick := time.NewTicker(rt.cfg.HealthInterval)
 	defer tick.Stop()
 	for {
 		rt.probeOnce(b)
 		select {
-		case <-rt.stop:
+		case <-rt.core.Done():
 			return
 		case <-tick.C:
 		}
@@ -155,7 +154,10 @@ func (rt *Router) backendDown(b *backend) {
 // still hosts that the placement map no longer assigns to it is stale
 // state from before the failure (the tenant has been rebuilt elsewhere)
 // and is deleted best-effort so the fleet does not leak model
-// goroutines.
+// goroutines. A tenant still creating or rebuilding is left alone: its
+// world on b may be the one being placed there right now, which the
+// placement map names only once the build lands. A stale copy it skips
+// is swept at b's next recovery.
 func (rt *Router) backendRecovered(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
 	targets, err := rt.listBackend(ctx, b)
@@ -166,7 +168,8 @@ func (rt *Router) backendRecovered(b *backend) {
 	for _, info := range targets {
 		rt.mu.Lock()
 		e, ok := rt.entries[info.ID]
-		stale := !ok || e.backend == nil || e.backend.url != b.url
+		stale := !ok || (e.state != StateCreating && e.state != StateRebuilding &&
+			(e.backend == nil || e.backend.url != b.url))
 		rt.mu.Unlock()
 		if stale {
 			dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -49,10 +48,10 @@ import (
 	"time"
 
 	"pace/internal/ce"
+	"pace/internal/httpserve"
 	"pace/internal/obs"
 	"pace/internal/remote"
 	"pace/internal/resilience"
-	"pace/internal/targetserver"
 	"pace/internal/wire"
 )
 
@@ -70,9 +69,6 @@ const (
 // own fleet housekeeping (journal replay, stale-tenant GC) so backend
 // rate limiting and logs can tell it apart from proxied client traffic.
 const routerClient = "pacerouter"
-
-// maxBody mirrors the backends' request-body bound.
-const maxBody = 64 << 20
 
 // Config tunes the router. The zero value is not usable — Backends is
 // required — but every other field has a sane default.
@@ -129,9 +125,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
 	}
@@ -146,12 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CreateTimeout <= 0 {
 		c.CreateTimeout = 10 * time.Minute
-	}
-	if c.SLOTarget <= 0 {
-		c.SLOTarget = 100 * time.Millisecond
-	}
-	if c.SLOObjective <= 0 {
-		c.SLOObjective = 0.99
 	}
 	return c
 }
@@ -209,16 +196,10 @@ type Router struct {
 	cfg      Config
 	client   *http.Client
 	backends []*backend
-	mux      *http.ServeMux
+	core     *httpserve.Server
 
-	mu       sync.Mutex
-	entries  map[string]*entry
-	draining bool
-
-	httpSrv *http.Server
-	ln      net.Listener
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	mu      sync.Mutex
+	entries map[string]*entry
 
 	// bg is the router's background telemetry context: root spans for
 	// self-initiated work (rebuild, revival) start from it.
@@ -231,22 +212,13 @@ type Router struct {
 	mEvicted        *obs.Counter
 	mRevived        *obs.Counter
 	mQuotaDenied    *obs.Counter
-	mShed           *obs.Counter
 	mUnknownTarget  *obs.Counter
-	mUnauthorized   *obs.Counter
 	mAdminReqs      *obs.Counter
 	mTenants        *obs.Gauge
-	mDraining       *obs.Gauge
 	mStreamOpens    *obs.Counter
 	mStreamFwd      *obs.Counter
 	mStreamDedup    *obs.Counter
 	mStreamReplayed *obs.Counter
-
-	// Per-(route, tenant) RED instruments and per-tenant SLO trackers,
-	// created lazily on first request.
-	redMu sync.Mutex
-	reds  map[string]*obs.RED
-	slos  map[string]*obs.SLO
 }
 
 // New builds the router, probes every backend once synchronously (so
@@ -258,10 +230,13 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		client:  cfg.Client,
 		entries: map[string]*entry{},
-		stop:    make(chan struct{}),
 		bg:      obs.NewContext(context.Background(), cfg.Telemetry),
-		reds:    map[string]*obs.RED{},
-		slos:    map[string]*obs.SLO{},
+		core: httpserve.New(httpserve.Config{
+			Name: "router", Metrics: "router", Span: "proxy", Realm: "pacerouter", Noun: "router",
+			ShedStatus: http.StatusServiceUnavailable, CountShed: true,
+			AuthTokens: cfg.AuthTokens, RetryAfter: cfg.RetryAfter, Telemetry: cfg.Telemetry,
+			SLOTarget: cfg.SLOTarget, SLOObjective: cfg.SLOObjective,
+		}),
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{}
@@ -306,66 +281,20 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("router: at least one backend required")
 	}
 
-	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("POST /v1/estimate", func(w http.ResponseWriter, r *http.Request) {
-		rt.serveData(w, r, targetserver.DefaultTenant, "estimate", "proxy_estimate",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				rt.handleData(w, r, id, false)
-			})
+	rt.core.MountData(httpserve.DataRoutes{
+		Estimate:        func(w http.ResponseWriter, r *http.Request, id string) { rt.handleData(w, r, id, false) },
+		Execute:         func(w http.ResponseWriter, r *http.Request, id string) { rt.handleData(w, r, id, true) },
+		OpenExecution:   rt.handleOpenExecution,
+		ExecutionChunk:  rt.handleExecutionChunk,
+		ExecutionStatus: rt.handleExecutionStatus,
+		ExecutionDelete: rt.handleExecutionDelete,
 	})
-	rt.mux.HandleFunc("POST /v1/execute", func(w http.ResponseWriter, r *http.Request) {
-		rt.serveData(w, r, targetserver.DefaultTenant, "execute", "proxy_execute",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				rt.handleData(w, r, id, true)
-			})
-	})
-	rt.mux.HandleFunc("POST /v1/targets/{id}/estimate", func(w http.ResponseWriter, r *http.Request) {
-		rt.serveData(w, r, r.PathValue("id"), "estimate", "proxy_estimate",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				rt.handleData(w, r, id, false)
-			})
-	})
-	rt.mux.HandleFunc("POST /v1/targets/{id}/execute", func(w http.ResponseWriter, r *http.Request) {
-		rt.serveData(w, r, r.PathValue("id"), "execute", "proxy_execute",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				rt.handleData(w, r, id, true)
-			})
-	})
-	rt.mux.HandleFunc("POST /v1/targets/{id}/executions", func(w http.ResponseWriter, r *http.Request) {
-		rt.serveData(w, r, r.PathValue("id"), "exec_open", "proxy_exec_open", rt.handleOpenExecution)
-	})
-	rt.mux.HandleFunc("POST /v1/targets/{id}/executions/{token}", func(w http.ResponseWriter, r *http.Request) {
-		rt.serveData(w, r, r.PathValue("id"), "exec_chunk", "proxy_exec_chunk",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				rt.handleExecutionChunk(w, r, id, r.PathValue("token"))
-			})
-	})
-	rt.mux.HandleFunc("GET /v1/targets/{id}/executions/{token}", func(w http.ResponseWriter, r *http.Request) {
-		// Status polls are RED-metered but never spanned: poll counts are
-		// timing-dependent and would break trace-structure determinism.
-		rt.serveData(w, r, r.PathValue("id"), "exec_status", "",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				rt.handleExecutionStatus(w, r, id, r.PathValue("token"))
-			})
-	})
-	rt.mux.HandleFunc("DELETE /v1/targets/{id}/executions/{token}", func(w http.ResponseWriter, r *http.Request) {
-		rt.serveData(w, r, r.PathValue("id"), "exec_delete", "proxy_exec_delete",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				rt.handleExecutionDelete(w, r, id, r.PathValue("token"))
-			})
-	})
-	rt.mux.HandleFunc("GET /v1/targets/{id}/healthz", rt.handleTenantHealthz)
-	rt.mux.HandleFunc("POST /v1/targets", rt.handleCreate)
-	rt.mux.HandleFunc("DELETE /v1/targets/{id}", rt.handleDelete)
-	rt.mux.HandleFunc("GET /v1/targets", rt.handleList)
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /v1/fleet", rt.handleFleet)
-	if reg := cfg.Telemetry.Registry(); reg != nil {
-		rt.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(w) //nolint:errcheck // best-effort scrape
-		})
-	}
+	rt.core.HandleFunc("GET /v1/targets/{id}/healthz", rt.handleTenantHealthz)
+	rt.core.HandleFunc("POST /v1/targets", rt.handleCreate)
+	rt.core.HandleFunc("DELETE /v1/targets/{id}", rt.handleDelete)
+	rt.core.HandleFunc("GET /v1/targets", rt.handleList)
+	rt.core.HandleFunc("GET /healthz", rt.handleHealthz)
+	rt.core.HandleFunc("GET /v1/fleet", rt.handleFleet)
 
 	// Boot probe round: parallel, synchronous, so the first create after
 	// New can already place. The health loops take over from here.
@@ -376,12 +305,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	boot.Wait()
 	for _, b := range rt.backends {
-		rt.wg.Add(1)
-		go rt.healthLoop(b)
+		rt.core.Go(func() { rt.healthLoop(b) })
 	}
 	if cfg.IdleAfter > 0 {
-		rt.wg.Add(1)
-		go rt.janitor()
+		rt.core.Janitor(cfg.IdleAfter, rt.evictIdle)
 	}
 	return rt, nil
 }
@@ -396,126 +323,29 @@ func (rt *Router) instrument(reg *obs.Registry) {
 	rt.mEvicted = reg.Counter("router_evicted_total")
 	rt.mRevived = reg.Counter("router_revived_total")
 	rt.mQuotaDenied = reg.Counter("router_quota_denied_total")
-	rt.mShed = reg.Counter("router_shed_total")
 	rt.mUnknownTarget = reg.Counter("router_unknown_target_total")
-	rt.mUnauthorized = reg.Counter("router_unauthorized_total")
 	rt.mAdminReqs = reg.Counter("router_admin_requests_total")
 	rt.mTenants = reg.Gauge("router_tenants")
-	rt.mDraining = reg.Gauge("router_draining")
 	rt.mStreamOpens = reg.Counter("router_stream_opens_total")
 	rt.mStreamFwd = reg.Counter("router_stream_chunks_forwarded_total")
 	rt.mStreamDedup = reg.Counter("router_stream_chunks_deduped_total")
 	rt.mStreamReplayed = reg.Counter("router_stream_chunks_replayed_total")
 }
 
-// statusWriter captures the status code the handler chain wrote so the
-// RED layer can classify the request.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// serveData wraps one data-path route with per-tenant RED metrics and —
-// when the caller sent an X-Pace-Trace header and spanName is non-empty
-// — a proxy span parented under the remote caller. Requests without the
-// header are metered but never spanned, which keeps trace structure a
-// pure function of the instrumented client's behaviour.
-func (rt *Router) serveData(w http.ResponseWriter, r *http.Request, id, route, spanName string, fn func(http.ResponseWriter, *http.Request, string)) {
-	ctx := obs.NewContext(r.Context(), rt.cfg.Telemetry)
-	var sp *obs.Span
-	if tp := r.Header.Get(wire.TraceHeader); tp != "" {
-		if trace, span, ok := obs.ParseTraceParent(tp); ok {
-			ctx = obs.ContextWithRemoteParent(ctx, trace, span)
-			if spanName != "" {
-				ctx, sp = obs.StartSpan(ctx, spanName, obs.String("tenant", id))
-			}
-		}
-	}
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	start := time.Now()
-	fn(sw, r.WithContext(ctx), id)
-	sp.End()
-	rt.red(route, id).Observe(time.Since(start).Seconds(), sw.status >= 500, obs.TraceIDFrom(ctx))
-}
-
-// red returns the (route, tenant) RED instrument set, creating it — and
-// the tenant's SLO tracker — on first use. Nil without a registry.
-func (rt *Router) red(route, id string) *obs.RED {
-	reg := rt.cfg.Telemetry.Registry()
-	if reg == nil {
-		return nil
-	}
-	key := route + "\x00" + id
-	rt.redMu.Lock()
-	defer rt.redMu.Unlock()
-	if red, ok := rt.reds[key]; ok {
-		return red
-	}
-	slo, ok := rt.slos[id]
-	if !ok {
-		slo = obs.NewSLO(reg, fmt.Sprintf("router_slo_burn_rate_permille{tenant=%q}", id),
-			rt.cfg.SLOTarget, rt.cfg.SLOObjective)
-		rt.slos[id] = slo
-	}
-	red := obs.NewRED(reg, "router_http", route, id, slo)
-	rt.reds[key] = red
-	return red
-}
-
 // Handler exposes the router mux (for httptest or custom listeners).
-func (rt *Router) Handler() http.Handler { return rt.mux }
+func (rt *Router) Handler() http.Handler { return rt.core.Handler() }
 
 // Start binds addr and serves in the background, returning the bound
 // address (port 0 picks an ephemeral one).
-func (rt *Router) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("router: listen: %w", err)
-	}
-	rt.ln = ln
-	rt.httpSrv = &http.Server{Handler: rt.mux, ReadHeaderTimeout: 10 * time.Second}
-	go rt.httpSrv.Serve(ln) //nolint:errcheck // Serve always errors on Shutdown
-	return ln.Addr().String(), nil
-}
+func (rt *Router) Start(addr string) (string, error) { return rt.core.Start(addr) }
 
 // Shutdown stops serving and the health/janitor loops. It does NOT
 // drain or destroy the backends — they are separate processes with
 // their own lifecycles.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.mu.Lock()
-	already := rt.draining
-	rt.draining = true
-	rt.mu.Unlock()
-	rt.mDraining.Set(1)
-	if already {
-		return nil
-	}
-	close(rt.stop)
-	var err error
-	if rt.httpSrv != nil {
-		err = rt.httpSrv.Shutdown(ctx)
-	}
-	rt.wg.Wait()
-	return err
-}
+func (rt *Router) Shutdown(ctx context.Context) error { return rt.core.Shutdown(ctx) }
 
 // Close is Shutdown with a short bound.
-func (rt *Router) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return rt.Shutdown(ctx)
-}
-
-func (rt *Router) isDraining() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.draining
-}
+func (rt *Router) Close() error { return httpserve.Close(rt.Shutdown) }
 
 // forward sends one JSON (or bodyless) request to a backend — the
 // admin/control plane. Data-path proxying goes through forwardHdr,
@@ -550,7 +380,7 @@ func (rt *Router) forwardHdr(ctx context.Context, b *backend, method, path strin
 		req.Header.Set(wire.TraceHeader, tp)
 	}
 	if client != "" {
-		req.Header.Set(targetserver.ClientHeader, client)
+		req.Header.Set(wire.ClientHeader, client)
 	}
 	if rt.cfg.AuthToken != "" {
 		req.Header.Set("Authorization", "Bearer "+rt.cfg.AuthToken)
@@ -562,7 +392,7 @@ func (rt *Router) forwardHdr(ctx context.Context, b *backend, method, path strin
 		}
 		return nil, nil, err
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBody))
 	resp.Body.Close()
 	if err != nil {
 		if ctx.Err() == nil {
@@ -592,11 +422,10 @@ func (rt *Router) passthrough(w http.ResponseWriter, resp *http.Response, raw []
 // state gates. The returned entry's backend is NOT validated — each
 // path re-checks placement where its consistency needs demand.
 func (rt *Router) resolveData(w http.ResponseWriter, r *http.Request, id string) (*entry, string, bool) {
-	if rt.isDraining() {
-		rt.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router draining")
+	if rt.core.RefuseDraining(w) {
 		return nil, "", false
 	}
-	client, ok := rt.clientIdentity(w, r)
+	client, ok := rt.core.ClientIdentity(w, r)
 	if !ok {
 		return nil, "", false
 	}
@@ -609,17 +438,17 @@ func (rt *Router) resolveData(w http.ResponseWriter, r *http.Request, id string)
 	rt.mu.Unlock()
 	if e == nil {
 		rt.mUnknownTarget.Inc()
-		rt.writeError(w, http.StatusNotFound, wire.CodeUnknownTarget, "no tenant "+id)
+		httpserve.WriteError(w, http.StatusNotFound, wire.CodeUnknownTarget, "no tenant "+id)
 		return nil, "", false
 	}
 	e.touch()
 	switch state {
 	case StateEvicted:
 		go rt.revive(id)
-		rt.shed503(w, wire.CodeEvicted, "tenant "+id+" evicted; revival under way")
+		rt.core.Shed(w, wire.CodeEvicted, "tenant "+id+" evicted; revival under way")
 		return nil, "", false
 	case StateCreating, StateRebuilding:
-		rt.shed503(w, wire.CodeNotReady, "tenant "+id+" "+state)
+		rt.core.Shed(w, wire.CodeNotReady, "tenant "+id+" "+state)
 		return nil, "", false
 	}
 	return e, client, true
@@ -653,9 +482,8 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: "+err.Error())
+	body, ok := httpserve.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	hdr := dataHdr(r)
@@ -671,7 +499,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 		b := e.backend
 		rt.mu.Unlock()
 		if b == nil || !b.up.Load() {
-			rt.shed503(w, wire.CodeNotReady, "tenant "+id+" losing its backend; failover under way")
+			rt.core.Shed(w, wire.CodeNotReady, "tenant "+id+" losing its backend; failover under way")
 			return
 		}
 		resp, raw, err := rt.forwardHdr(r.Context(), b, http.MethodPost, path, body, client, hdr)
@@ -679,7 +507,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 			if r.Context().Err() != nil {
 				return // client hung up; nobody is reading
 			}
-			rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+			rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
 			return
 		}
 		rt.passthrough(w, resp, raw)
@@ -694,7 +522,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 	rt.mu.Lock()
 	if e.state != StateReady || e.backend == nil || !e.backend.up.Load() {
 		rt.mu.Unlock()
-		rt.shed503(w, wire.CodeNotReady, "tenant "+id+" rebuilding")
+		rt.core.Shed(w, wire.CodeNotReady, "tenant "+id+" rebuilding")
 		return
 	}
 	b := e.backend
@@ -704,7 +532,7 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 		if r.Context().Err() != nil {
 			return
 		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
@@ -718,35 +546,33 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 // build like paced's own create does.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	rt.mAdminReqs.Inc()
-	if rt.isDraining() {
-		rt.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router draining")
+	if rt.core.RefuseDraining(w) {
 		return
 	}
-	owner, ok := rt.clientIdentity(w, r)
+	owner, ok := rt.core.ClientIdentity(w, r)
 	if !ok {
 		return
 	}
 	var req wire.CreateTargetRequest
-	if !rt.decodeRequest(w, r, &req) {
+	if !rt.core.DecodeRequest(w, r, &req) {
 		return
 	}
 	id := req.Target.ID
 	if id == "" {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "target id required")
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "target id required")
 		return
 	}
 
 	rt.mu.Lock()
 	if _, exists := rt.entries[id]; exists {
 		rt.mu.Unlock()
-		rt.writeError(w, http.StatusConflict, wire.CodeTargetExists, "tenant "+id+" already exists")
+		httpserve.WriteError(w, http.StatusConflict, wire.CodeTargetExists, "tenant "+id+" already exists")
 		return
 	}
 	if rt.cfg.MaxTenants > 0 && len(rt.entries) >= rt.cfg.MaxTenants {
 		rt.mu.Unlock()
 		rt.mQuotaDenied.Inc()
-		w.Header().Set("Retry-After", wire.RetryAfter(rt.cfg.RetryAfter))
-		rt.writeError(w, http.StatusTooManyRequests, wire.CodeQuotaExceeded,
+		rt.core.Refuse(w, http.StatusTooManyRequests, wire.CodeQuotaExceeded,
 			fmt.Sprintf("fleet at its %d-tenant cap", rt.cfg.MaxTenants))
 		return
 	}
@@ -760,8 +586,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if n >= rt.cfg.MaxPerOwner {
 			rt.mu.Unlock()
 			rt.mQuotaDenied.Inc()
-			w.Header().Set("Retry-After", wire.RetryAfter(rt.cfg.RetryAfter))
-			rt.writeError(w, http.StatusTooManyRequests, wire.CodeQuotaExceeded,
+			rt.core.Refuse(w, http.StatusTooManyRequests, wire.CodeQuotaExceeded,
 				fmt.Sprintf("client %s at its %d-tenant quota", owner, rt.cfg.MaxPerOwner))
 			return
 		}
@@ -776,7 +601,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	b := pick(id, rt.backends)
 	if b == nil {
 		rt.dropEntry(id, e)
-		rt.shed503(w, wire.CodeNotReady, "no backend up to place tenant "+id)
+		rt.core.Shed(w, wire.CodeNotReady, "no backend up to place tenant "+id)
 		return
 	}
 	resp, raw, err := rt.createOn(r.Context(), b, req, owner)
@@ -785,7 +610,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return
 		}
-		rt.shed503(w, wire.CodeNotReady, "backend "+b.url+" unreachable: "+err.Error())
+		rt.core.Shed(w, wire.CodeNotReady, "backend "+b.url+" unreachable: "+err.Error())
 		return
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -841,7 +666,7 @@ func (rt *Router) dropEntry(id string, e *entry) {
 // tenant just drops the router-side record (journal included).
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	rt.mAdminReqs.Inc()
-	if _, ok := rt.clientIdentity(w, r); !ok {
+	if _, ok := rt.core.ClientIdentity(w, r); !ok {
 		return
 	}
 	id := r.PathValue("id")
@@ -850,13 +675,12 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if e == nil {
 		rt.mu.Unlock()
 		rt.mUnknownTarget.Inc()
-		rt.writeError(w, http.StatusNotFound, wire.CodeUnknownTarget, "no tenant "+id)
+		httpserve.WriteError(w, http.StatusNotFound, wire.CodeUnknownTarget, "no tenant "+id)
 		return
 	}
 	if e.state == StateCreating {
 		rt.mu.Unlock()
-		w.Header().Set("Retry-After", wire.RetryAfter(rt.cfg.RetryAfter))
-		rt.writeError(w, http.StatusServiceUnavailable, wire.CodeNotReady, "tenant "+id+" still provisioning")
+		rt.core.Refuse(w, http.StatusServiceUnavailable, wire.CodeNotReady, "tenant "+id+" still provisioning")
 		return
 	}
 	b := e.backend
@@ -869,12 +693,12 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		rt.deleteOnBackend(ctx, b, id) //nolint:errcheck // backend GC catches leftovers
 		cancel()
 	}
-	rt.writeJSON(w, http.StatusOK, wire.DeleteTargetResponse{V: wire.Version, Deleted: id})
+	httpserve.WriteJSON(w, http.StatusOK, wire.DeleteTargetResponse{V: wire.Version, Deleted: id})
 }
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	rt.mAdminReqs.Inc()
-	if _, ok := rt.clientIdentity(w, r); !ok {
+	if _, ok := rt.core.ClientIdentity(w, r); !ok {
 		return
 	}
 	rt.mu.Lock()
@@ -884,7 +708,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	sort.Slice(resp.Targets, func(i, j int) bool { return resp.Targets[i].ID < resp.Targets[j].ID })
-	rt.writeJSON(w, http.StatusOK, resp)
+	httpserve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz reports the router's own health plus every tenant's
@@ -893,7 +717,6 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := wire.HealthzResponse{Status: "ok", Tenants: map[string]string{}}
 	rt.mu.Lock()
-	draining := rt.draining
 	for id, e := range rt.entries {
 		resp.Tenants[id] = e.state
 	}
@@ -905,19 +728,18 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	status := http.StatusOK
-	if draining {
+	if rt.core.Draining() {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	rt.writeJSON(w, status, resp)
+	httpserve.WriteJSON(w, status, resp)
 }
 
 // handleTenantHealthz is the per-tenant readiness probe: 200 only when
 // the tenant is ready on an up backend.
 func (rt *Router) handleTenantHealthz(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if rt.isDraining() {
-		rt.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router draining")
+	if rt.core.RefuseDraining(w) {
 		return
 	}
 	rt.mu.Lock()
@@ -931,14 +753,14 @@ func (rt *Router) handleTenantHealthz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case e == nil:
 		rt.mUnknownTarget.Inc()
-		rt.writeError(w, http.StatusNotFound, wire.CodeUnknownTarget, "no tenant "+id)
+		httpserve.WriteError(w, http.StatusNotFound, wire.CodeUnknownTarget, "no tenant "+id)
 	case state == StateEvicted:
 		go rt.revive(id)
-		rt.shed503(w, wire.CodeEvicted, "tenant "+id+" evicted; revival under way")
+		rt.core.Shed(w, wire.CodeEvicted, "tenant "+id+" evicted; revival under way")
 	case state != StateReady || b == nil || !b.up.Load():
-		rt.shed503(w, wire.CodeNotReady, "tenant "+id+" "+state)
+		rt.core.Shed(w, wire.CodeNotReady, "tenant "+id+" "+state)
 	default:
-		rt.writeJSON(w, http.StatusOK, wire.HealthzResponse{
+		httpserve.WriteJSON(w, http.StatusOK, wire.HealthzResponse{
 			Status:  "ok",
 			Tenants: map[string]string{id: StateReady},
 		})
@@ -968,7 +790,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		}
 		resp.Backends = append(resp.Backends, wire.BackendStatus{URL: b.url, Up: up, Tenants: hosted[b.url]})
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
+	httpserve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // rebuild re-provisions one rebuilding tenant on a surviving backend:
@@ -983,7 +805,7 @@ func (rt *Router) rebuild(id string) {
 	rctx, rsp := obs.StartSpan(rt.bg, "rebuild", obs.String("tenant", id))
 	defer rsp.End()
 	for {
-		if rt.isDraining() {
+		if rt.core.Draining() {
 			return
 		}
 		rt.mu.Lock()
@@ -1111,51 +933,35 @@ func (rt *Router) revive(id string) {
 	rt.rebuild(id)
 }
 
-// janitor evicts idle ready tenants: the backend's copy is deleted
-// (freeing its model goroutine), the spec and journal stay spilled in
-// the router, and the next request lazily revives the tenant.
-func (rt *Router) janitor() {
-	defer rt.wg.Done()
-	period := rt.cfg.IdleAfter / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
+// evictIdle is the janitor's sweep over idle ready tenants: the
+// backend's copy is deleted (freeing its model goroutine), the spec and
+// journal stay spilled in the router, and the next request lazily
+// revives the tenant.
+func (rt *Router) evictIdle() {
+	type victim struct {
+		id string
+		b  *backend
 	}
-	if period > 30*time.Second {
-		period = 30 * time.Second
+	var victims []victim
+	rt.mu.Lock()
+	for id, e := range rt.entries {
+		if e.state == StateReady && e.idleFor() > rt.cfg.IdleAfter {
+			victims = append(victims, victim{id, e.backend})
+			e.state, e.backend = StateEvicted, nil
+		}
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case <-tick.C:
-		}
-		type victim struct {
-			id string
-			b  *backend
-		}
-		var victims []victim
-		rt.mu.Lock()
-		for id, e := range rt.entries {
-			if e.state == StateReady && e.idleFor() > rt.cfg.IdleAfter {
-				victims = append(victims, victim{id, e.backend})
-				e.state, e.backend = StateEvicted, nil
-			}
-		}
-		rt.mu.Unlock()
-		for _, v := range victims {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			rt.deleteOnBackend(ctx, v.b, v.id) //nolint:errcheck // backend GC catches leftovers
-			cancel()
-			rt.mEvicted.Inc()
-		}
+	rt.mu.Unlock()
+	for _, v := range victims {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		rt.deleteOnBackend(ctx, v.b, v.id) //nolint:errcheck // backend GC catches leftovers
+		cancel()
+		rt.mEvicted.Inc()
 	}
 }
 
 func (rt *Router) sleep(d time.Duration) bool {
 	select {
-	case <-rt.stop:
+	case <-rt.core.Done():
 		return false
 	case <-time.After(d):
 		return true
@@ -1176,76 +982,4 @@ func (rt *Router) deleteOnBackend(ctx context.Context, b *backend, id string) er
 		return nil
 	}
 	return err
-}
-
-// clientIdentity mirrors paced's: token-derived (spoof-proof) when
-// AuthTokens is set, else the X-Pace-Client header, else the peer host.
-func (rt *Router) clientIdentity(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if len(rt.cfg.AuthTokens) > 0 {
-		tok, ok := bearerToken(r)
-		if !ok {
-			rt.mUnauthorized.Inc()
-			w.Header().Set("WWW-Authenticate", `Bearer realm="pacerouter"`)
-			rt.writeError(w, http.StatusUnauthorized, wire.CodeUnauthorized,
-				"missing Authorization: Bearer token")
-			return "", false
-		}
-		name, known := rt.cfg.AuthTokens[tok]
-		if !known {
-			rt.mUnauthorized.Inc()
-			w.Header().Set("WWW-Authenticate", `Bearer realm="pacerouter"`)
-			rt.writeError(w, http.StatusUnauthorized, wire.CodeUnauthorized, "unknown bearer token")
-			return "", false
-		}
-		return name, true
-	}
-	if c := r.Header.Get(targetserver.ClientHeader); c != "" {
-		return c, true
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host, true
-	}
-	return r.RemoteAddr, true
-}
-
-func bearerToken(r *http.Request) (string, bool) {
-	auth := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if len(auth) <= len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) {
-		return "", false
-	}
-	return strings.TrimSpace(auth[len(prefix):]), true
-}
-
-func (rt *Router) decodeRequest(w http.ResponseWriter, r *http.Request, dst *wire.CreateTargetRequest) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "malformed body: "+err.Error())
-		return false
-	}
-	if dst.V != wire.Version {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("protocol version %d, router speaks %d", dst.V, wire.Version))
-		return false
-	}
-	return true
-}
-
-// shed503 answers a retryable unavailability with the Retry-After hint
-// the client-side resilience layer honors.
-func (rt *Router) shed503(w http.ResponseWriter, code, msg string) {
-	rt.mShed.Inc()
-	w.Header().Set("Retry-After", wire.RetryAfter(rt.cfg.RetryAfter))
-	rt.writeError(w, http.StatusServiceUnavailable, code, msg)
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, code, msg string) {
-	rt.writeJSON(w, status, wire.ErrorResponse{V: wire.Version, Code: code, Error: msg})
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body) //nolint:errcheck // client hang-ups are its problem
 }

@@ -450,10 +450,11 @@ func TestLegacyRoutesAliasDefault(t *testing.T) {
 // wire-compatible, WaitReady sees "ready".
 func TestAdminClientThroughRouter(t *testing.T) {
 	f := newFleet(t, 2, router.Config{})
-	admin, err := remote.NewAdmin(f.url, remote.Options{ClientID: "tester"})
+	rc, err := remote.NewClient(f.url, remote.Options{ClientID: "tester"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	admin := rc.Admin()
 	defer admin.Close()
 
 	ctx := context.Background()

@@ -22,10 +22,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 
+	"pace/internal/httpserve"
 	"pace/internal/wire"
 )
 
@@ -38,7 +38,7 @@ func (rt *Router) readyBackend(w http.ResponseWriter, e *entry, id string) (*bac
 	ok := e.state == StateReady && b != nil && b.up.Load()
 	rt.mu.Unlock()
 	if !ok {
-		rt.shed503(w, wire.CodeNotReady, "tenant "+id+" rebuilding")
+		rt.core.Shed(w, wire.CodeNotReady, "tenant "+id+" rebuilding")
 		return nil, false
 	}
 	return b, true
@@ -56,7 +56,7 @@ func (e *entry) knownStream(token string) (int, bool) {
 // syntheticAck answers for the backend when the router already holds
 // the truth (journaled chunk, replayed stream).
 func (rt *Router) syntheticAck(w http.ResponseWriter, status int, token, state string, applied int) {
-	rt.writeJSON(w, status, wire.ExecutionResponse{
+	httpserve.WriteJSON(w, status, wire.ExecutionResponse{
 		V:       wire.Version,
 		Token:   token,
 		State:   state,
@@ -72,14 +72,13 @@ func (rt *Router) handleOpenExecution(w http.ResponseWriter, r *http.Request, id
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: "+err.Error())
+	body, ok := httpserve.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	var req wire.OpenExecutionRequest
 	if jerr := json.Unmarshal(body, &req); jerr != nil || !wire.ValidExecutionToken(req.Token) {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"open body must carry a valid execution token")
 		return
 	}
@@ -95,7 +94,7 @@ func (rt *Router) handleOpenExecution(w http.ResponseWriter, r *http.Request, id
 		if r.Context().Err() != nil {
 			return
 		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
@@ -121,13 +120,12 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 	seqRaw := r.Header.Get(wire.ChunkSeqHeader)
 	seq, err := strconv.ParseInt(seqRaw, 10, 64)
 	if err != nil || seq < 0 {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			wire.ChunkSeqHeader+" must carry the chunk's non-negative sequence number")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: "+err.Error())
+	body, ok := httpserve.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	hdr := dataHdr(r)
@@ -153,7 +151,7 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 		if r.Context().Err() != nil {
 			return
 		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
 		return
 	}
 	if resp.StatusCode == http.StatusNotFound &&
@@ -167,7 +165,7 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 					if r.Context().Err() != nil {
 						return
 					}
-					rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+					rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
 					return
 				}
 			}
@@ -215,7 +213,7 @@ func (rt *Router) handleExecutionStatus(w http.ResponseWriter, r *http.Request, 
 		if r.Context().Err() != nil {
 			return
 		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
 		return
 	}
 	if resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {
@@ -245,7 +243,7 @@ func (rt *Router) handleExecutionDelete(w http.ResponseWriter, r *http.Request, 
 		if r.Context().Err() != nil {
 			return
 		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
 		return
 	}
 	if resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {

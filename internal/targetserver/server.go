@@ -34,19 +34,16 @@ package targetserver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"pace/internal/ce"
+	"pace/internal/httpserve"
 	"pace/internal/obs"
 	"pace/internal/query"
 	"pace/internal/tenant"
@@ -54,7 +51,16 @@ import (
 )
 
 // DefaultTenant is the id the legacy unrouted endpoints alias.
-const DefaultTenant = "default"
+const DefaultTenant = httpserve.DefaultTenant
+
+// ClientHeader names the self-reported client identity header used for
+// per-client rate limiting when no auth tokens are configured; see
+// wire.ClientHeader.
+const ClientHeader = wire.ClientHeader
+
+// ParseAuthTokens reads a token file in the -auth-tokens format of
+// cmd/paced; see httpserve.ParseAuthTokens.
+func ParseAuthTokens(r io.Reader) (map[string]string, error) { return httpserve.ParseAuthTokens(r) }
 
 // Config tunes the service. The zero value serves with sane defaults.
 // The per-tenant serving knobs (MaxBatch … Burst) apply to every tenant
@@ -124,15 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch > wire.MaxBatch {
 		c.MaxBatch = wire.MaxBatch
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.SLOTarget <= 0 {
-		c.SLOTarget = 100 * time.Millisecond
-	}
-	if c.SLOObjective <= 0 {
-		c.SLOObjective = 0.99
-	}
 	return c
 }
 
@@ -155,41 +152,21 @@ func (c Config) TenantConfig() tenant.Config {
 // Server is one hosted estimator service instance: an HTTP front over a
 // tenant registry.
 type Server struct {
-	cfg Config
-	reg *tenant.Registry
-	mux *http.ServeMux
-
-	mu       sync.Mutex
-	draining bool
-
-	httpSrv *http.Server
-	ln      net.Listener
-
-	janitorStop chan struct{}
-	janitorDone chan struct{}
+	cfg  Config
+	reg  *tenant.Registry
+	core *httpserve.Server
 
 	// codecs is the enabled codec set by name ("json", "binary").
 	codecs map[string]bool
-	// legacyOnce gates the one-time deprecation log for the unrouted
-	// /v1/estimate|execute aliases.
-	legacyOnce sync.Once
 
 	// Server-level instruments (tenant-level ones live on each tenant);
 	// all nil-safe no-ops without telemetry.
 	mUnknownTarget *obs.Counter
-	mUnauthorized  *obs.Counter
 	mAdminReqs     *obs.Counter
 	mQuotaDenied   *obs.Counter
 	mEvicted       *obs.Counter
 	mRevived       *obs.Counter
 	mTenants       *obs.Gauge
-	mDraining      *obs.Gauge
-
-	// Per-(route, tenant) RED instruments and per-tenant SLO trackers,
-	// created lazily on first request.
-	redMu sync.Mutex
-	reds  map[string]*obs.RED
-	slos  map[string]*obs.SLO
 }
 
 // New builds a single-tenant server: target becomes the "default"
@@ -223,159 +200,50 @@ func NewMulti(reg *tenant.Registry, cfg Config) *Server {
 		}
 	}
 	s.instrument(cfg.Telemetry.Registry())
-	s.reds = map[string]*obs.RED{}
-	s.slos = map[string]*obs.SLO{}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/estimate", func(w http.ResponseWriter, r *http.Request) {
-		s.deprecateLegacy(w, "/v1/estimate")
-		s.serveData(w, r, DefaultTenant, "estimate", "srv_estimate", s.handleEstimate)
+	s.core = httpserve.New(httpserve.Config{
+		Name: "targetserver", Metrics: "paced", Span: "srv", Realm: "paced", Noun: "server",
+		ShedStatus: http.StatusTooManyRequests, DeprecateLegacy: true,
+		AuthTokens: cfg.AuthTokens, RetryAfter: cfg.RetryAfter, Telemetry: cfg.Telemetry,
+		SLOTarget: cfg.SLOTarget, SLOObjective: cfg.SLOObjective,
 	})
-	s.mux.HandleFunc("POST /v1/execute", func(w http.ResponseWriter, r *http.Request) {
-		s.deprecateLegacy(w, "/v1/execute")
-		s.serveData(w, r, DefaultTenant, "execute", "srv_execute", s.handleExecute)
+	s.core.MountData(httpserve.DataRoutes{
+		Estimate:        s.handleEstimate,
+		Execute:         s.handleExecute,
+		OpenExecution:   s.handleOpenExecution,
+		ExecutionChunk:  s.handleExecutionChunk,
+		ExecutionStatus: s.handleExecutionStatus,
+		ExecutionDelete: s.handleExecutionDelete,
 	})
-	s.mux.HandleFunc("POST /v1/targets/{id}/estimate", func(w http.ResponseWriter, r *http.Request) {
-		s.serveData(w, r, r.PathValue("id"), "estimate", "srv_estimate", s.handleEstimate)
-	})
-	s.mux.HandleFunc("POST /v1/targets/{id}/execute", func(w http.ResponseWriter, r *http.Request) {
-		s.serveData(w, r, r.PathValue("id"), "execute", "srv_execute", s.handleExecute)
-	})
-	s.mux.HandleFunc("POST /v1/targets/{id}/executions", func(w http.ResponseWriter, r *http.Request) {
-		s.serveData(w, r, r.PathValue("id"), "exec_open", "srv_exec_open", s.handleOpenExecution)
-	})
-	s.mux.HandleFunc("POST /v1/targets/{id}/executions/{token}", func(w http.ResponseWriter, r *http.Request) {
-		s.serveData(w, r, r.PathValue("id"), "exec_chunk", "srv_exec_chunk",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				s.handleExecutionChunk(w, r, id, r.PathValue("token"))
-			})
-	})
-	s.mux.HandleFunc("GET /v1/targets/{id}/executions/{token}", func(w http.ResponseWriter, r *http.Request) {
-		// Status polls are RED-metered but never spanned: poll counts are
-		// timing-dependent, and spans here would break the fixed-seed
-		// trace-structure determinism contract.
-		s.serveData(w, r, r.PathValue("id"), "exec_status", "",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				s.handleExecutionStatus(w, r, id, r.PathValue("token"))
-			})
-	})
-	s.mux.HandleFunc("DELETE /v1/targets/{id}/executions/{token}", func(w http.ResponseWriter, r *http.Request) {
-		s.serveData(w, r, r.PathValue("id"), "exec_delete", "srv_exec_delete",
-			func(w http.ResponseWriter, r *http.Request, id string) {
-				s.handleExecutionDelete(w, r, id, r.PathValue("token"))
-			})
-	})
-	s.mux.HandleFunc("GET /v1/targets/{id}/healthz", s.handleTenantHealthz)
-	s.mux.HandleFunc("POST /v1/targets", s.handleCreateTarget)
-	s.mux.HandleFunc("DELETE /v1/targets/{id}", s.handleDeleteTarget)
-	s.mux.HandleFunc("GET /v1/targets", s.handleListTargets)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if reg := cfg.Telemetry.Registry(); reg != nil {
-		s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(w) //nolint:errcheck // best-effort scrape
-		})
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.core.HandleFunc("GET /v1/targets/{id}/healthz", s.handleTenantHealthz)
+	s.core.HandleFunc("POST /v1/targets", s.handleCreateTarget)
+	s.core.HandleFunc("DELETE /v1/targets/{id}", s.handleDeleteTarget)
+	s.core.HandleFunc("GET /v1/targets", s.handleListTargets)
+	s.core.HandleFunc("GET /healthz", s.handleHealthz)
+	if cfg.Telemetry.Registry() != nil {
+		s.core.HandleFunc("/debug/pprof/", pprof.Index)
+		s.core.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		s.core.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		s.core.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		s.core.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	s.mTenants.Set(int64(reg.Len()))
 	if cfg.IdleAfter > 0 {
-		s.janitorStop = make(chan struct{})
-		s.janitorDone = make(chan struct{})
-		go s.janitor()
+		s.core.Janitor(cfg.IdleAfter, s.evictIdle)
 	}
 	return s
 }
 
-// janitor periodically evicts tenants idle past Config.IdleAfter,
-// spilling their specs for lazy revival on the next request.
-func (s *Server) janitor() {
-	defer close(s.janitorDone)
-	period := s.cfg.IdleAfter / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
+// evictIdle is the janitor's sweep: tenants idle past Config.IdleAfter
+// are drained and their specs spilled for lazy revival on the next
+// request.
+func (s *Server) evictIdle() {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	evicted := s.reg.EvictIdle(ctx, s.cfg.IdleAfter)
+	cancel()
+	if len(evicted) > 0 {
+		s.mEvicted.Add(int64(len(evicted)))
+		s.mTenants.Set(int64(s.reg.Len()))
 	}
-	if period > 30*time.Second {
-		period = 30 * time.Second
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.janitorStop:
-			return
-		case <-tick.C:
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			evicted := s.reg.EvictIdle(ctx, s.cfg.IdleAfter)
-			cancel()
-			if len(evicted) > 0 {
-				s.mEvicted.Add(int64(len(evicted)))
-				s.mTenants.Set(int64(s.reg.Len()))
-			}
-		}
-	}
-}
-
-// serveData wraps one data-path handler with the fleet observability
-// preamble: trace extraction (an X-Pace-Trace header makes the
-// server-side work parent under the remote caller's span; spanName ""
-// means the route is metered but never spanned) and per-(route, tenant)
-// RED accounting with the tenant's SLO burn and a slow-request exemplar
-// carrying the trace ID.
-func (s *Server) serveData(w http.ResponseWriter, r *http.Request, id, route, spanName string, fn func(http.ResponseWriter, *http.Request, string)) {
-	ctx := obs.NewContext(r.Context(), s.cfg.Telemetry)
-	var sp *obs.Span
-	if tp := r.Header.Get(wire.TraceHeader); tp != "" {
-		if trace, span, ok := obs.ParseTraceParent(tp); ok {
-			ctx = obs.ContextWithRemoteParent(ctx, trace, span)
-			if spanName != "" {
-				ctx, sp = obs.StartSpan(ctx, spanName, obs.String("tenant", id))
-			}
-		}
-	}
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	start := time.Now()
-	fn(sw, r.WithContext(ctx), id)
-	sp.End()
-	s.red(route, id).Observe(time.Since(start).Seconds(), sw.status >= 500, obs.TraceIDFrom(ctx))
-}
-
-// statusWriter captures the response status for RED error accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// red returns the (route, tenant) RED bundle, creating it — and the
-// tenant's shared SLO tracker — on first use. nil (all methods no-op)
-// without a metrics registry.
-func (s *Server) red(route, id string) *obs.RED {
-	reg := s.cfg.Telemetry.Registry()
-	if reg == nil {
-		return nil
-	}
-	key := route + "\x00" + id
-	s.redMu.Lock()
-	defer s.redMu.Unlock()
-	if m, ok := s.reds[key]; ok {
-		return m
-	}
-	slo, ok := s.slos[id]
-	if !ok {
-		slo = obs.NewSLO(reg, fmt.Sprintf("paced_slo_burn_rate_permille{tenant=%q}", id),
-			s.cfg.SLOTarget, s.cfg.SLOObjective)
-		s.slos[id] = slo
-	}
-	m := obs.NewRED(reg, "paced_http", route, id, slo)
-	s.reds[key] = m
-	return m
 }
 
 func (s *Server) instrument(reg *obs.Registry) {
@@ -383,33 +251,22 @@ func (s *Server) instrument(reg *obs.Registry) {
 		return
 	}
 	s.mUnknownTarget = reg.Counter("paced_unknown_target_total")
-	s.mUnauthorized = reg.Counter("paced_unauthorized_total")
 	s.mAdminReqs = reg.Counter("paced_admin_requests_total")
 	s.mQuotaDenied = reg.Counter("paced_quota_denied_total")
 	s.mEvicted = reg.Counter("paced_evicted_total")
 	s.mRevived = reg.Counter("paced_revived_total")
 	s.mTenants = reg.Gauge("paced_tenants")
-	s.mDraining = reg.Gauge("paced_draining")
 }
 
 // Registry exposes the tenant directory (cmd/paced boot, tests).
 func (s *Server) Registry() *tenant.Registry { return s.reg }
 
 // Handler exposes the service mux (for httptest or custom listeners).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.core.Handler() }
 
 // Start binds addr (host:port; port 0 picks an ephemeral one) and
 // serves in the background. It returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("targetserver: listen: %w", err)
-	}
-	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
-	go s.httpSrv.Serve(ln) //nolint:errcheck // Serve always errors on Shutdown
-	return ln.Addr().String(), nil
-}
+func (s *Server) Start(addr string) (string, error) { return s.core.Start(addr) }
 
 // Shutdown drains gracefully: new requests are refused (healthz 503,
 // v1 endpoints 503 draining), in-flight requests on every tenant
@@ -417,21 +274,7 @@ func (s *Server) Start(addr string) (string, error) {
 // host answers each tenant's queued jobs before exiting — and then the
 // model goroutines stop. ctx bounds the drain.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	s.mu.Unlock()
-	s.mDraining.Set(1)
-	if !already && s.janitorStop != nil {
-		close(s.janitorStop)
-		<-s.janitorDone
-	}
-	var err error
-	if !already && s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
-	err = errors.Join(err, s.reg.DrainAll(ctx))
-	return err
+	return errors.Join(s.core.Shutdown(ctx), s.reg.DrainAll(ctx))
 }
 
 // Kill abruptly stops serving — the listener closes and in-flight
@@ -439,24 +282,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // backend (the integration-test stand-in for SIGKILL); the registry and
 // its model goroutines are intentionally left unreclaimed, exactly like
 // a dead process's state.
-func (s *Server) Kill() {
-	if s.httpSrv != nil {
-		s.httpSrv.Close() //nolint:errcheck // abrupt death: errors are the point
-	}
-}
+func (s *Server) Kill() { s.core.Kill() }
 
 // Close is Shutdown with a short drain bound.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return s.Shutdown(ctx)
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) Close() error { return httpserve.Close(s.Shutdown) }
 
 // resolve routes an id to its tenant, answering the error itself (404
 // unknown, 503 not ready / draining / evicted) when it cannot. A hit on
@@ -468,23 +297,21 @@ func (s *Server) resolve(w http.ResponseWriter, id string) (*tenant.Tenant, bool
 	switch {
 	case errors.Is(err, tenant.ErrNotFound):
 		s.mUnknownTarget.Inc()
-		s.writeError(w, http.StatusNotFound, wire.CodeUnknownTarget, err.Error())
+		httpserve.WriteError(w, http.StatusNotFound, wire.CodeUnknownTarget, err.Error())
 		return nil, false
 	case errors.Is(err, tenant.ErrEvicted):
 		go s.reviveAsync(id)
-		w.Header().Set("Retry-After", wire.RetryAfter(s.cfg.RetryAfter))
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeEvicted, err.Error())
+		s.core.Refuse(w, http.StatusServiceUnavailable, wire.CodeEvicted, err.Error())
 		return nil, false
 	case errors.Is(err, tenant.ErrNotReady):
-		w.Header().Set("Retry-After", wire.RetryAfter(s.cfg.RetryAfter))
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeNotReady, err.Error())
+		s.core.Refuse(w, http.StatusServiceUnavailable, wire.CodeNotReady, err.Error())
 		return nil, false
 	case err != nil:
-		s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+		httpserve.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 		return nil, false
 	}
 	if t.Draining() {
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "tenant "+id+" draining")
+		httpserve.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "tenant "+id+" draining")
 		return nil, false
 	}
 	return t, true
@@ -500,20 +327,6 @@ func (s *Server) reviveAsync(id string) {
 	}
 }
 
-// deprecateLegacy stamps the un-tenanted /v1/estimate|execute aliases:
-// a Deprecation response header on every hit and one server log line
-// per process. The aliases route through the same handlers as
-// /v1/targets/default/... and will be removed two protocol majors
-// after v2 (see DESIGN.md, "Removal horizon").
-func (s *Server) deprecateLegacy(w http.ResponseWriter, path string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "</v1/targets/"+DefaultTenant+path[len("/v1"):]+`>; rel="successor-version"`)
-	s.legacyOnce.Do(func() {
-		log.Printf("targetserver: deprecated unrouted %s hit; clients should move to /v1/targets/{id}%s",
-			path, path[len("/v1"):])
-	})
-}
-
 // dataCodecs negotiates one data-path exchange's codecs: the request
 // body's from Content-Type, the response's from Accept. Disabled or
 // unknown request codecs answer 415 unsupported_media; a response-side
@@ -521,7 +334,7 @@ func (s *Server) deprecateLegacy(w http.ResponseWriter, path string) {
 func (s *Server) dataCodecs(w http.ResponseWriter, r *http.Request) (reqC, respC wire.Codec, ok bool) {
 	reqC, known := wire.CodecForContentType(r.Header.Get("Content-Type"))
 	if !known || !s.codecs[reqC.Name()] {
-		s.writeError(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
+		httpserve.WriteError(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
 			fmt.Sprintf("unsupported Content-Type %q", r.Header.Get("Content-Type")))
 		return nil, nil, false
 	}
@@ -532,16 +345,6 @@ func (s *Server) dataCodecs(w http.ResponseWriter, r *http.Request) (reqC, respC
 	return reqC, respC, true
 }
 
-// readBody slurps a bounded request body for codec decoding.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: "+err.Error())
-		return nil, false
-	}
-	return raw, true
-}
-
 // decodeError maps a codec decode failure onto the wire: rejected
 // binary frames get their own machine-readable code.
 func (s *Server) decodeError(w http.ResponseWriter, err error) {
@@ -549,17 +352,16 @@ func (s *Server) decodeError(w http.ResponseWriter, err error) {
 	if errors.Is(err, wire.ErrBadFrame) {
 		code = wire.CodeBadFrame
 	}
-	s.writeError(w, http.StatusBadRequest, code, err.Error())
+	httpserve.WriteError(w, http.StatusBadRequest, code, err.Error())
 }
 
 // admitData runs the shared data-path preamble: drain gate, identity,
 // tenant resolution and per-client admission.
 func (s *Server) admitData(w http.ResponseWriter, r *http.Request, id string) (*tenant.Tenant, bool) {
-	if s.isDraining() {
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server draining")
+	if s.core.RefuseDraining(w) {
 		return nil, false
 	}
-	client, ok := s.clientIdentity(w, r)
+	client, ok := s.core.ClientIdentity(w, r)
 	if !ok {
 		return nil, false
 	}
@@ -568,7 +370,7 @@ func (s *Server) admitData(w http.ResponseWriter, r *http.Request, id string) (*
 		return nil, false
 	}
 	if !t.Admit(client) {
-		s.shed(w, wire.CodeRateLimited, "client "+client+" over rate limit")
+		s.core.Shed(w, wire.CodeRateLimited, "client "+client+" over rate limit")
 		return nil, false
 	}
 	return t, true
@@ -583,7 +385,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, id strin
 	if !ok {
 		return
 	}
-	raw, ok := s.readBody(w, r)
+	raw, ok := httpserve.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -593,14 +395,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, id strin
 		return
 	}
 	if len(req.Queries) == 0 || len(req.Queries) > wire.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			fmt.Sprintf("request must carry 1..%d queries, got %d", wire.MaxBatch, len(req.Queries)))
 		return
 	}
 	qs, err := wire.DecodeQueries(t.Meta(), req.Queries)
 	if err != nil {
 		t.Metrics().Invalid.Inc()
-		s.writeError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
 		return
 	}
 
@@ -611,16 +413,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, id strin
 	}
 	resp := wire.EstimateResponse{V: wire.Version, Estimates: wire.FromFloats(ests)}
 	if blob, err := respC.EncodeEstimateResponse(&resp); err == nil {
-		s.writeRaw(w, http.StatusOK, respC.ContentType(), blob)
+		writeRaw(w, http.StatusOK, respC.ContentType(), blob)
 	} else {
-		s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+		httpserve.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 	}
 }
 
 // decodeExecuteBody shares the execute-request decode + validation
 // between the sync execute and the streamed chunk handlers.
 func (s *Server) decodeExecuteBody(w http.ResponseWriter, r *http.Request, t *tenant.Tenant, reqC wire.Codec) (*wire.ExecuteRequest, []*query.Query, bool) {
-	raw, ok := s.readBody(w, r)
+	raw, ok := httpserve.ReadBody(w, r)
 	if !ok {
 		return nil, nil, false
 	}
@@ -630,7 +432,7 @@ func (s *Server) decodeExecuteBody(w http.ResponseWriter, r *http.Request, t *te
 		return nil, nil, false
 	}
 	if len(req.Queries) == 0 || len(req.Queries) > wire.MaxBatch || len(req.Queries) != len(req.Cards) {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			fmt.Sprintf("want 1..%d queries with matching cards, got %d queries / %d cards",
 				wire.MaxBatch, len(req.Queries), len(req.Cards)))
 		return nil, nil, false
@@ -638,7 +440,7 @@ func (s *Server) decodeExecuteBody(w http.ResponseWriter, r *http.Request, t *te
 	qs, err := wire.DecodeQueries(t.Meta(), req.Queries)
 	if err != nil {
 		t.Metrics().Invalid.Inc()
-		s.writeError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
 		return nil, nil, false
 	}
 	return req, qs, true
@@ -664,9 +466,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, id string
 	}
 	resp := wire.ExecuteResponse{V: wire.Version, Executed: len(qs)}
 	if blob, err := respC.EncodeExecuteResponse(&resp); err == nil {
-		s.writeRaw(w, http.StatusOK, respC.ContentType(), blob)
+		writeRaw(w, http.StatusOK, respC.ContentType(), blob)
 	} else {
-		s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+		httpserve.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 	}
 }
 
@@ -699,11 +501,11 @@ func (s *Server) handleOpenExecution(w http.ResponseWriter, r *http.Request, id 
 		return
 	}
 	var req wire.OpenExecutionRequest
-	if !s.decodeRequest(w, r, &req) {
+	if !s.core.DecodeRequest(w, r, &req) {
 		return
 	}
 	if !wire.ValidExecutionToken(req.Token) {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			fmt.Sprintf("execution token must be 1..%d URL-safe chars", wire.MaxExecutionToken))
 		return
 	}
@@ -712,7 +514,7 @@ func (s *Server) handleOpenExecution(w http.ResponseWriter, r *http.Request, id 
 		s.replyExecutionError(w, t, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, executionResponse(st))
+	httpserve.WriteJSON(w, http.StatusOK, executionResponse(st))
 }
 
 // handleExecutionChunk accepts one chunk of a streamed execute, acking
@@ -732,7 +534,7 @@ func (s *Server) handleExecutionChunk(w http.ResponseWriter, r *http.Request, id
 	}
 	seq, err := strconv.ParseInt(r.Header.Get(wire.ChunkSeqHeader), 10, 64)
 	if err != nil || seq < 0 {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			wire.ChunkSeqHeader+" must carry the chunk's non-negative sequence number")
 		return
 	}
@@ -745,18 +547,17 @@ func (s *Server) handleExecutionChunk(w http.ResponseWriter, r *http.Request, id
 		s.replyExecutionError(w, t, err)
 		return
 	}
-	s.writeJSON(w, http.StatusAccepted, executionResponse(st))
+	httpserve.WriteJSON(w, http.StatusAccepted, executionResponse(st))
 }
 
 // handleExecutionStatus is the completion poll: 200 with the
 // execution's progress. Clients are done when all their chunks are
 // acked and State is done.
 func (s *Server) handleExecutionStatus(w http.ResponseWriter, r *http.Request, id, token string) {
-	if s.isDraining() {
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server draining")
+	if s.core.RefuseDraining(w) {
 		return
 	}
-	if _, ok := s.clientIdentity(w, r); !ok {
+	if _, ok := s.core.ClientIdentity(w, r); !ok {
 		return
 	}
 	t, ok := s.resolve(w, id)
@@ -768,12 +569,12 @@ func (s *Server) handleExecutionStatus(w http.ResponseWriter, r *http.Request, i
 		s.replyExecutionError(w, t, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, executionResponse(st))
+	httpserve.WriteJSON(w, http.StatusOK, executionResponse(st))
 }
 
 // handleExecutionDelete forgets a completed stream's dedupe state.
 func (s *Server) handleExecutionDelete(w http.ResponseWriter, r *http.Request, id, token string) {
-	if _, ok := s.clientIdentity(w, r); !ok {
+	if _, ok := s.core.ClientIdentity(w, r); !ok {
 		return
 	}
 	t, ok := s.resolve(w, id)
@@ -785,13 +586,13 @@ func (s *Server) handleExecutionDelete(w http.ResponseWriter, r *http.Request, i
 		s.replyExecutionError(w, t, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, executionResponse(st))
+	httpserve.WriteJSON(w, http.StatusOK, executionResponse(st))
 }
 
 // replyExecutionError extends replyError with the execution taxonomy.
 func (s *Server) replyExecutionError(w http.ResponseWriter, t *tenant.Tenant, err error) {
 	if errors.Is(err, tenant.ErrUnknownExecution) {
-		s.writeError(w, http.StatusNotFound, wire.CodeUnknownExecution, err.Error())
+		httpserve.WriteError(w, http.StatusNotFound, wire.CodeUnknownExecution, err.Error())
 		return
 	}
 	s.replyError(w, t, err)
@@ -802,16 +603,15 @@ func (s *Server) replyExecutionError(w http.ResponseWriter, t *tenant.Tenant, er
 // the same id answer 409 immediately (the slot lists as "creating").
 func (s *Server) handleCreateTarget(w http.ResponseWriter, r *http.Request) {
 	s.mAdminReqs.Inc()
-	if s.isDraining() {
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server draining")
+	if s.core.RefuseDraining(w) {
 		return
 	}
-	client, ok := s.clientIdentity(w, r)
+	client, ok := s.core.ClientIdentity(w, r)
 	if !ok {
 		return
 	}
 	var req wire.CreateTargetRequest
-	if !s.decodeRequest(w, r, &req) {
+	if !s.core.DecodeRequest(w, r, &req) {
 		return
 	}
 	t, err := s.reg.Create(r.Context(), tenant.Spec{
@@ -829,27 +629,26 @@ func (s *Server) handleCreateTarget(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case errors.Is(err, tenant.ErrExists):
-		s.writeError(w, http.StatusConflict, wire.CodeTargetExists, err.Error())
+		httpserve.WriteError(w, http.StatusConflict, wire.CodeTargetExists, err.Error())
 		return
 	case errors.Is(err, tenant.ErrQuota):
 		s.mQuotaDenied.Inc()
-		w.Header().Set("Retry-After", wire.RetryAfter(s.cfg.RetryAfter))
-		s.writeError(w, http.StatusTooManyRequests, wire.CodeQuotaExceeded, err.Error())
+		s.core.Refuse(w, http.StatusTooManyRequests, wire.CodeQuotaExceeded, err.Error())
 		return
 	case errors.Is(err, tenant.ErrDraining):
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, err.Error())
+		httpserve.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, err.Error())
 		return
 	case errors.Is(err, tenant.ErrCreatePanic):
-		s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+		httpserve.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 		return
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return // the admin hung up mid-build; nobody is reading
 	case err != nil:
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return
 	}
 	s.mTenants.Set(int64(s.reg.Len()))
-	s.writeJSON(w, http.StatusOK, wire.CreateTargetResponse{
+	httpserve.WriteJSON(w, http.StatusOK, wire.CreateTargetResponse{
 		V:      wire.Version,
 		Target: targetInfo(tenant.Info{Spec: t.Spec(), State: tenant.StateReady}),
 	})
@@ -857,7 +656,7 @@ func (s *Server) handleCreateTarget(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteTarget(w http.ResponseWriter, r *http.Request) {
 	s.mAdminReqs.Inc()
-	if _, ok := s.clientIdentity(w, r); !ok {
+	if _, ok := s.core.ClientIdentity(w, r); !ok {
 		return
 	}
 	id := r.PathValue("id")
@@ -865,23 +664,22 @@ func (s *Server) handleDeleteTarget(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, tenant.ErrNotFound):
 		s.mUnknownTarget.Inc()
-		s.writeError(w, http.StatusNotFound, wire.CodeUnknownTarget, err.Error())
+		httpserve.WriteError(w, http.StatusNotFound, wire.CodeUnknownTarget, err.Error())
 		return
 	case errors.Is(err, tenant.ErrNotReady):
-		w.Header().Set("Retry-After", wire.RetryAfter(s.cfg.RetryAfter))
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeNotReady, err.Error())
+		s.core.Refuse(w, http.StatusServiceUnavailable, wire.CodeNotReady, err.Error())
 		return
 	case err != nil:
-		s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+		httpserve.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 		return
 	}
 	s.mTenants.Set(int64(s.reg.Len()))
-	s.writeJSON(w, http.StatusOK, wire.DeleteTargetResponse{V: wire.Version, Deleted: id})
+	httpserve.WriteJSON(w, http.StatusOK, wire.DeleteTargetResponse{V: wire.Version, Deleted: id})
 }
 
 func (s *Server) handleListTargets(w http.ResponseWriter, r *http.Request) {
 	s.mAdminReqs.Inc()
-	if _, ok := s.clientIdentity(w, r); !ok {
+	if _, ok := s.core.ClientIdentity(w, r); !ok {
 		return
 	}
 	infos := s.reg.List()
@@ -889,7 +687,7 @@ func (s *Server) handleListTargets(w http.ResponseWriter, r *http.Request) {
 	for i, info := range infos {
 		resp.Targets[i] = targetInfo(info)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	httpserve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func targetInfo(info tenant.Info) wire.TargetInfo {
@@ -915,58 +713,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp.Tenants[info.Spec.ID] = info.State
 	}
 	status := http.StatusOK
-	if s.isDraining() {
+	if s.core.Draining() {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, status, resp)
+	httpserve.WriteJSON(w, status, resp)
 }
 
 // handleTenantHealthz is the per-tenant readiness probe: 200 only when
 // the tenant exists and is ready.
 func (s *Server) handleTenantHealthz(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.isDraining() {
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server draining")
+	if s.core.RefuseDraining(w) {
 		return
 	}
 	if _, ok := s.resolve(w, id); !ok {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, wire.HealthzResponse{
+	httpserve.WriteJSON(w, http.StatusOK, wire.HealthzResponse{
 		Status:  "ok",
 		Tenants: map[string]string{id: tenant.StateReady},
 	})
-}
-
-// maxBody bounds request bodies: wire.MaxBatch queries at ~16B/bound
-// leaves ample headroom at 64 MiB.
-const maxBody = 64 << 20
-
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "malformed body: "+err.Error())
-		return false
-	}
-	var v int
-	switch req := dst.(type) {
-	case *wire.EstimateRequest:
-		v = req.V
-	case *wire.ExecuteRequest:
-		v = req.V
-	case *wire.CreateTargetRequest:
-		v = req.V
-	case *wire.OpenExecutionRequest:
-		v = req.V
-	}
-	if v != wire.Version {
-		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("protocol version %d, server speaks %d", v, wire.Version))
-		return false
-	}
-	return true
 }
 
 // replyError maps a tenant-side error onto the wire: shed admission is
@@ -975,40 +742,23 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst any) 
 func (s *Server) replyError(w http.ResponseWriter, t *tenant.Tenant, err error) {
 	switch {
 	case errors.Is(err, tenant.ErrQueueFull):
-		s.shed(w, wire.CodeOverloaded, err.Error())
+		s.core.Shed(w, wire.CodeOverloaded, err.Error())
 	case errors.Is(err, tenant.ErrDraining):
-		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, err.Error())
+		httpserve.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, err.Error())
 	case errors.Is(err, ce.ErrInvalidQuery):
 		t.Metrics().Invalid.Inc()
-		s.writeError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The request context died mid-evaluation; nobody is reading.
 	default:
 		t.Metrics().Errors.Inc()
-		s.writeError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
+		httpserve.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 	}
-}
-
-// shed answers an admission rejection: 429 with the Retry-After hint,
-// the signal a well-behaved client backs off on.
-func (s *Server) shed(w http.ResponseWriter, code, msg string) {
-	w.Header().Set("Retry-After", wire.RetryAfter(s.cfg.RetryAfter))
-	s.writeError(w, http.StatusTooManyRequests, code, msg)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
-	s.writeJSON(w, status, wire.ErrorResponse{V: wire.Version, Code: code, Error: msg})
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body) //nolint:errcheck // client hang-ups are its problem
 }
 
 // writeRaw ships a pre-encoded data-path response in its codec's
 // Content-Type.
-func (s *Server) writeRaw(w http.ResponseWriter, status int, contentType string, blob []byte) {
+func writeRaw(w http.ResponseWriter, status int, contentType string, blob []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
 	w.Write(blob) //nolint:errcheck // client hang-ups are its problem

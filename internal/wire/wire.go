@@ -35,6 +35,10 @@ const Version = 1
 // memory, not throughput.
 const MaxBatch = 4096
 
+// MaxBody bounds every body on the wire, request or response, in bytes:
+// MaxBatch queries at ~16B a bound leave ample headroom at 64 MiB.
+const MaxBody = 64 << 20
+
 // B64 transports a float64 as its IEEE-754 bit pattern. encoding/json
 // round-trips uint64 exactly (all 20 digits), which float64 JSON
 // formatting cannot promise for NaN payloads and does not permit at all
@@ -296,6 +300,12 @@ type FleetStatusResponse struct {
 	Backends []BackendStatus            `json:"backends"`
 	Tenants  map[string]TenantPlacement `json:"tenants"`
 }
+
+// ClientHeader names the self-reported client identity used for
+// per-client rate limiting when a server runs without auth tokens. It
+// is advisory — anyone can claim any name — which is why servers with
+// tokens derive the identity from the bearer token instead.
+const ClientHeader = "X-Pace-Client"
 
 // ChunkSeqHeader carries the 0-based sequence number of one streamed
 // execute chunk (POST /v1/targets/{id}/executions/{token}). The

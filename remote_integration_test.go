@@ -299,10 +299,11 @@ func isolationRun(t *testing.T, seed int64, hammer bool) (*core.Result, float64)
 		rep loadgen.Report
 	)
 	if hammer {
-		rt, err := remote.New(hs.URL, remote.Options{Tenant: "b", ClientID: "hammer"})
+		rc, err := remote.NewClient(hs.URL, remote.Options{ClientID: "hammer"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt := rc.Target("b")
 		defer rt.Close()
 		lwg.Add(1)
 		go func() {
