@@ -42,6 +42,7 @@ import (
 	"pace/internal/ce"
 	"pace/internal/cli"
 	"pace/internal/experiments"
+	"pace/internal/httpserve"
 	"pace/internal/obs"
 	"pace/internal/targetserver"
 	"pace/internal/tenant"
@@ -93,7 +94,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "paced:", err)
 			os.Exit(2)
 		}
-		tokens, err = targetserver.ParseAuthTokens(f)
+		tokens, err = httpserve.ParseAuthTokens(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paced:", err)
@@ -192,7 +193,7 @@ func bootSpecs(tenants, dataset, model string, seed int64, scale float64, cacheS
 			return nil, err
 		}
 		return []tenant.Spec{{
-			ID: targetserver.DefaultTenant, Dataset: dataset, Model: model,
+			ID: httpserve.DefaultTenant, Dataset: dataset, Model: model,
 			Seed: seed, SeedOffset: 1, Scale: scale, CacheSize: cacheSize,
 		}}, nil
 	}

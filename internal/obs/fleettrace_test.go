@@ -18,9 +18,9 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-" + trace,                           // missing span + flags
-		"01-" + trace + "-00000000deadbeef-01",  // unknown version
-		"00-" + trace + "-0000000000000000-01",  // zero span id
+		"00-" + trace,                          // missing span + flags
+		"01-" + trace + "-00000000deadbeef-01", // unknown version
+		"00-" + trace + "-0000000000000000-01", // zero span id
 		"00-" + strings.Repeat("0", 32) + "-00000000deadbeef-01", // all-zero trace
 		"00-" + trace[:31] + "-00000000deadbeef-01",              // short trace
 		"00-" + trace + "-00000000deadbee-01",                    // short span

@@ -73,12 +73,12 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		{0, 0},
 		{-3, 0},
 		{math.NaN(), 0},
-		{math.Pow(2, -40), 0},           // below range: underflow bucket
-		{1, -histMinExp},                // 2^0 exactly: the le=1 bucket
-		{1.0000001, 1 - histMinExp},     // just above a power of two → le=2
-		{2, 1 - histMinExp},             // 2^1 exactly
-		{0.5, -1 - histMinExp},          // 2^-1 exactly
-		{3, 2 - histMinExp},             // between 2 and 4 → le=4
+		{math.Pow(2, -40), 0},       // below range: underflow bucket
+		{1, -histMinExp},            // 2^0 exactly: the le=1 bucket
+		{1.0000001, 1 - histMinExp}, // just above a power of two → le=2
+		{2, 1 - histMinExp},         // 2^1 exactly
+		{0.5, -1 - histMinExp},      // 2^-1 exactly
+		{3, 2 - histMinExp},         // between 2 and 4 → le=4
 		{math.Pow(2, float64(histMaxExp)), histMaxExp - histMinExp},
 		{math.Pow(2, 40), histBuckets - 1}, // above range: overflow bucket
 		{math.Inf(1), histBuckets - 1},

@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
 	"time"
 
+	"pace/internal/obs"
 	"pace/internal/wire"
 )
 
@@ -18,12 +18,11 @@ import (
 // listing and destroying targets at runtime. It shares the error
 // taxonomy of RemoteTarget (429 → ErrOverloaded, other 4xx →
 // ce.ErrInvalidQuery, 5xx/network → ErrUnavailable) so callers can reuse
-// the same retry policies.
+// the same retry policies. Create, delete and list calls get
+// rpc_admin_* client spans; health polls stay unspanned, since how often
+// they run depends on timing.
 type Admin struct {
-	base   string
-	opts   Options
-	client *http.Client
-	t      *RemoteTarget // classification + counters live here
+	t *RemoteTarget // classification + counters live here
 }
 
 // Close releases pooled connections.
@@ -32,6 +31,8 @@ func (a *Admin) Close() { a.t.Close() }
 // CreateTarget provisions a tenant and blocks until its world is trained
 // (pass a generous ctx — model training can take minutes).
 func (a *Admin) CreateTarget(ctx context.Context, spec wire.TargetSpec) (wire.TargetInfo, error) {
+	ctx, sp := obs.StartSpan(ctx, "rpc_admin_create", obs.String("tenant", spec.ID))
+	defer sp.End()
 	req := wire.CreateTargetRequest{V: wire.Version, Target: spec}
 	var resp wire.CreateTargetResponse
 	if err := a.do(ctx, http.MethodPost, "/v1/targets", req, &resp); err != nil {
@@ -42,12 +43,16 @@ func (a *Admin) CreateTarget(ctx context.Context, spec wire.TargetSpec) (wire.Ta
 
 // DeleteTarget drains and removes a tenant.
 func (a *Admin) DeleteTarget(ctx context.Context, id string) error {
+	ctx, sp := obs.StartSpan(ctx, "rpc_admin_delete", obs.String("tenant", id))
+	defer sp.End()
 	var resp wire.DeleteTargetResponse
 	return a.do(ctx, http.MethodDelete, "/v1/targets/"+url.PathEscape(id), nil, &resp)
 }
 
 // ListTargets snapshots the host's tenant directory.
 func (a *Admin) ListTargets(ctx context.Context) ([]wire.TargetInfo, error) {
+	ctx, sp := obs.StartSpan(ctx, "rpc_admin_list")
+	defer sp.End()
 	var resp wire.ListTargetsResponse
 	if err := a.do(ctx, http.MethodGet, "/v1/targets", nil, &resp); err != nil {
 		return nil, err
@@ -87,56 +92,27 @@ func (a *Admin) WaitReady(ctx context.Context, id string, timeout time.Duration)
 }
 
 func (a *Admin) do(ctx context.Context, method, path string, body, dst any) error {
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.opts.RequestTimeout)
-		defer cancel()
-	}
-	var rd io.Reader
+	call := Call{Method: method, Path: path, Backstop: a.t.opts.RequestTimeout}
 	if body != nil {
 		payload, err := json.Marshal(body)
 		if err != nil {
 			return fmt.Errorf("remote: encode: %w", err)
 		}
-		rd = bytes.NewReader(payload)
+		call.Body, call.ContentType = payload, wire.JSONContentType
 	}
-	req, err := http.NewRequestWithContext(ctx, method, a.base+path, rd)
+	rep, err := a.t.c.Exchange(ctx, call)
 	if err != nil {
-		return fmt.Errorf("remote: request: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(wire.ClientHeader, a.opts.ClientID)
-	if a.opts.AuthToken != "" {
-		req.Header.Set("Authorization", "Bearer "+a.opts.AuthToken)
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		a.t.unavailableCount.Add(1)
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBody))
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		a.t.unavailableCount.Add(1)
-		return fmt.Errorf("%w: reading response: %v", ErrUnavailable, err)
+		return a.t.unreachable(err)
 	}
 	// /healthz deliberately answers 503 with a valid body while draining;
 	// surface the body when it decodes, the classified error otherwise.
-	if resp.StatusCode == http.StatusOK ||
-		(strings.HasSuffix(path, "/healthz") && json.Valid(raw) && !bytes.Contains(raw, []byte(`"code"`))) {
-		if err := json.Unmarshal(raw, dst); err != nil {
+	if rep.Status == http.StatusOK ||
+		(strings.HasSuffix(path, "/healthz") && json.Valid(rep.Body) && !bytes.Contains(rep.Body, []byte(`"code"`))) {
+		if err := json.Unmarshal(rep.Body, dst); err != nil {
 			a.t.unavailableCount.Add(1)
 			return fmt.Errorf("%w: malformed response: %v", ErrUnavailable, err)
 		}
 		return nil
 	}
-	return a.t.classify(resp, raw)
+	return a.t.classify(rep)
 }

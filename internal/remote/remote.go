@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -140,7 +139,9 @@ type Options struct {
 	// StreamChunk caps queries per streamed chunk (default 512, max
 	// wire.MaxBatch).
 	StreamChunk int
-	// Client overrides the pooled HTTP client (tests).
+	// Client overrides the pooled HTTP client, e.g. to cap connections
+	// or to wrap the transport (pacerouter books backend health in its
+	// wrapper).
 	Client *http.Client
 }
 
@@ -193,10 +194,9 @@ type Stats struct {
 
 // RemoteTarget implements ce.Target over the paced wire protocol.
 type RemoteTarget struct {
-	base   string // scheme://host[:port], no trailing slash
+	c      *Client
 	prefix string // "/v1" or "/v1/targets/<tenant>"
 	opts   Options
-	client *http.Client
 
 	codec      wire.Codec  // configured data codec
 	downgraded atomic.Bool // sticky JSON fallback after a 415
@@ -244,9 +244,7 @@ func (t *RemoteTarget) Close() {
 	if len(batch) > 0 {
 		go t.sendBatch(batch)
 	}
-	if tr, ok := t.client.Transport.(*http.Transport); ok {
-		tr.CloseIdleConnections()
-	}
+	t.c.Close()
 }
 
 // Stats snapshots the wire-traffic counters.
@@ -434,7 +432,7 @@ func (t *RemoteTarget) postData(ctx context.Context, path string, encode func(wi
 		if err != nil {
 			return fmt.Errorf("remote: encode: %w", err)
 		}
-		raw, respCT, err := t.roundTrip(ctx, http.MethodPost, path, c.ContentType(), nil, payload, http.StatusOK)
+		raw, respCT, err := t.roundTrip(ctx, http.MethodPost, path, c.ContentType(), "", payload, http.StatusOK)
 		if err != nil {
 			if errors.Is(err, errUnsupportedCodec) && c.Name() != "json" {
 				t.downgraded.Store(true)
@@ -455,80 +453,53 @@ func (t *RemoteTarget) postData(ctx context.Context, path string, encode func(wi
 	}
 }
 
-// roundTrip runs one HTTP exchange: deadline backstop, identity and
-// codec headers, byte accounting, and classification of every non-want
-// status onto the pipeline's error taxonomy. It returns the body and
-// its Content-Type on wantStatus; contentType may be "" for bodyless
-// requests.
-func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType string, hdr map[string]string, payload []byte, wantStatus int) ([]byte, string, error) {
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t.opts.RequestTimeout)
-		defer cancel()
-	}
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, t.base+path, rd)
-	if err != nil {
-		return nil, "", fmt.Errorf("remote: request: %w", err)
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
+// roundTrip runs one data-path exchange: the RequestTimeout backstop,
+// the codec's Accept ask, byte accounting, and classification of every
+// non-want status onto the pipeline's error taxonomy. It returns the
+// body and its Content-Type on wantStatus; contentType may be "" for
+// bodyless requests, seq "" for anything but a streamed chunk.
+func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType, seq string, payload []byte, wantStatus int) ([]byte, string, error) {
+	accept := ""
 	if t.wireCodec().Name() == "binary" {
 		// Ask for binary responses; JSON stays acceptable implicitly —
 		// the server falls back to it when binary is disabled.
-		req.Header.Set("Accept", wire.BinaryContentType)
+		accept = wire.BinaryContentType
 	}
-	req.Header.Set(wire.ClientHeader, t.opts.ClientID)
-	if t.opts.AuthToken != "" {
-		req.Header.Set("Authorization", "Bearer "+t.opts.AuthToken)
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	// Propagate trace context: the receiving process parents its spans
-	// under the caller's current span, stitching the fleet-wide tree.
-	if tp := obs.TraceParent(ctx); tp != "" {
-		req.Header.Set(wire.TraceHeader, tp)
-	}
-
 	t.requests.Add(1)
 	t.bytesOut.Add(int64(len(payload)))
-	resp, err := t.client.Do(req)
-	if err != nil {
-		// The caller's context expiring is its own error class — the
-		// retry layer must NOT retry it.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, "", cerr
-		}
-		t.unavailableCount.Add(1)
-		return nil, "", fmt.Errorf("%w: %v", ErrUnavailable, err)
+	call := Call{Method: method, Path: path, ContentType: contentType, Accept: accept, Body: payload,
+		ClientID: t.opts.ClientID, Backstop: t.opts.RequestTimeout}
+	if seq != "" {
+		call.Header = map[string]string{wire.ChunkSeqHeader: seq}
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBody))
+	rep, err := t.c.Exchange(ctx, call)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, "", cerr
-		}
-		t.unavailableCount.Add(1)
-		return nil, "", fmt.Errorf("%w: reading response: %v", ErrUnavailable, err)
+		return nil, "", t.unreachable(err)
 	}
-	t.bytesIn.Add(int64(len(raw)))
-	if resp.StatusCode == wantStatus {
-		return raw, resp.Header.Get("Content-Type"), nil
+	t.bytesIn.Add(int64(len(rep.Body)))
+	if rep.Status == wantStatus {
+		return rep.Body, rep.Header.Get("Content-Type"), nil
 	}
 	// Negotiation and streamed-execute outcomes the caller handles
 	// structurally, ahead of the generic taxonomy.
 	switch {
-	case resp.StatusCode == http.StatusUnsupportedMediaType:
-		return nil, "", fmt.Errorf("%w: %s", errUnsupportedCodec, strings.TrimSpace(string(raw)))
-	case resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(`"`+wire.CodeUnknownExecution+`"`)):
+	case rep.Status == http.StatusUnsupportedMediaType:
+		return nil, "", fmt.Errorf("%w: %s", errUnsupportedCodec, strings.TrimSpace(string(rep.Body)))
+	case rep.Status == http.StatusNotFound && bytes.Contains(rep.Body, []byte(`"`+wire.CodeUnknownExecution+`"`)):
 		return nil, "", errUnknownExecution
 	}
-	return nil, "", t.classify(resp, raw)
+	return nil, "", t.classify(rep)
+}
+
+// unreachable classifies a failed exchange. The caller's context
+// expiring is its own error class — the retry layer must NOT retry it;
+// anything else is ErrUnavailable.
+func (t *RemoteTarget) unreachable(err error) error {
+	if ctxEnded(err) {
+		return err
+	}
+	t.unavailableCount.Add(1)
+	return fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
 // classify maps a non-200 reply onto the pipeline's error taxonomy:
@@ -543,24 +514,24 @@ func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType 
 // asked. A bare 503 (no header — e.g. a draining server) stays
 // ErrUnavailable: retry against a healthy peer, no mandated wait. The
 // server's machine-readable code and message ride along for logs.
-func (t *RemoteTarget) classify(resp *http.Response, raw []byte) error {
+func (t *RemoteTarget) classify(rep *Reply) error {
 	var er wire.ErrorResponse
-	msg := strings.TrimSpace(string(raw))
-	if err := json.Unmarshal(raw, &er); err == nil && er.Error != "" {
+	msg := strings.TrimSpace(string(rep.Body))
+	if err := json.Unmarshal(rep.Body, &er); err == nil && er.Error != "" {
 		msg = er.Code + ": " + er.Error
 	}
-	hint := parseRetryAfter(resp.Header.Get("Retry-After"))
+	hint := parseRetryAfter(rep.Header.Get("Retry-After"))
 	switch {
-	case resp.StatusCode == http.StatusTooManyRequests,
-		resp.StatusCode == http.StatusServiceUnavailable && hint > 0:
+	case rep.Status == http.StatusTooManyRequests,
+		rep.Status == http.StatusServiceUnavailable && hint > 0:
 		t.overloaded.Add(1)
-		return &OverloadError{Status: resp.StatusCode, RetryAfter: hint,
-			Msg: fmt.Sprintf("http %d: %s", resp.StatusCode, msg)}
-	case resp.StatusCode >= 400 && resp.StatusCode < 500:
+		return &OverloadError{Status: rep.Status, RetryAfter: hint,
+			Msg: fmt.Sprintf("http %d: %s", rep.Status, msg)}
+	case rep.Status >= 400 && rep.Status < 500:
 		t.invalid.Add(1)
-		return fmt.Errorf("%w: http %d: %s", ce.ErrInvalidQuery, resp.StatusCode, msg)
+		return fmt.Errorf("%w: http %d: %s", ce.ErrInvalidQuery, rep.Status, msg)
 	default:
 		t.unavailableCount.Add(1)
-		return fmt.Errorf("%w: http %d: %s", ErrUnavailable, resp.StatusCode, msg)
+		return fmt.Errorf("%w: http %d: %s", ErrUnavailable, rep.Status, msg)
 	}
 }

@@ -133,7 +133,7 @@ func (t *RemoteTarget) submitChunk(ctx context.Context, token string, seq int64,
 	ctx, sp := obs.StartSpan(ctx, "rpc_exec_chunk", obs.Int64("seq", seq))
 	defer sp.End()
 	path := t.streamPrefix() + "/executions/" + url.PathEscape(token)
-	hdr := map[string]string{wire.ChunkSeqHeader: strconv.FormatInt(seq, 10)}
+	seqRaw := strconv.FormatInt(seq, 10)
 	deadline := time.Now().Add(2 * t.opts.RequestTimeout)
 	for {
 		c := t.wireCodec()
@@ -141,7 +141,7 @@ func (t *RemoteTarget) submitChunk(ctx context.Context, token string, seq int64,
 		if err != nil {
 			return fmt.Errorf("remote: encode: %w", err)
 		}
-		raw, _, err := t.roundTrip(ctx, http.MethodPost, path, c.ContentType(), hdr, payload, http.StatusAccepted)
+		raw, _, err := t.roundTrip(ctx, http.MethodPost, path, c.ContentType(), seqRaw, payload, http.StatusAccepted)
 		switch {
 		case err == nil:
 			ack, derr := decodeExecution(raw)
@@ -243,7 +243,7 @@ func (t *RemoteTarget) controlJSON(ctx context.Context, method, path string, bod
 		}
 		contentType = wire.JSONContentType
 	}
-	raw, _, err := t.roundTrip(ctx, method, path, contentType, nil, payload, wantStatus)
+	raw, _, err := t.roundTrip(ctx, method, path, contentType, "", payload, wantStatus)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pace/internal/router"
-	"pace/internal/targetserver"
 	"pace/internal/wire"
 )
 
@@ -31,7 +30,7 @@ func routerCall(t *testing.T, method, url string, body any, client, token string
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if client != "" {
-		req.Header.Set(targetserver.ClientHeader, client)
+		req.Header.Set(wire.ClientHeader, client)
 	}
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)

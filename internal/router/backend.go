@@ -3,7 +3,9 @@ package router
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,20 +29,22 @@ type backend struct {
 	br  *resilience.Breaker
 	up  atomic.Bool
 
-	// admin is the consolidated remote client's admin surface for this
-	// backend, used for provisioning, listing and deleting tenants. Its
-	// transport records every outcome into the breaker (see
-	// recordingTransport).
-	admin *remote.Admin
+	// client carries all traffic to this backend: proxied calls, journal
+	// replay, stream re-opens, health probes and, through admin,
+	// provisioning, listing and deleting tenants. Its transport books
+	// every outcome into the breaker (see recordingTransport).
+	client *remote.Client
+	admin  *remote.Admin
 
 	mUp *obs.Gauge // router_backend_up{backend="url"}; nil-safe
 }
 
-// recordingTransport routes one backend's admin traffic through the
-// router's HTTP transport while feeding transport outcomes into the
-// backend health machinery — the same accounting rt.forwardHdr does for
-// proxied traffic. Canceled caller contexts are not held against the
-// backend.
+// recordingTransport is the one place backend health is booked: every
+// exchange with the backend passes through it and books exactly one
+// outcome, when its reply body is done. Any HTTP answer means a live
+// backend, except a /healthz probe's: only its 200 counts as healthy (a
+// draining backend answers 503). A failure under a canceled caller
+// context is not held against the backend; a probe's own timeout is.
 type recordingTransport struct {
 	rt   *Router
 	b    *backend
@@ -52,36 +56,51 @@ func (t *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	resp, err := base.RoundTrip(req)
-	if err != nil {
-		if req.Context().Err() == nil {
+	probe := req.URL.Path == "/healthz"
+	book := func(err error) {
+		if err == nil || probe || req.Context().Err() == nil {
 			t.rt.recordBackend(t.b, err)
 		}
+	}
+	resp, err := base.RoundTrip(req)
+	if err != nil {
+		book(err)
 		return nil, err
 	}
-	t.rt.recordBackend(t.b, nil)
+	var verdict error
+	if probe && resp.StatusCode != http.StatusOK {
+		verdict = fmt.Errorf("router: %s /healthz answered %d", t.b.url, resp.StatusCode)
+	}
+	resp.Body = &recordingBody{ReadCloser: resp.Body, verdict: verdict, book: book}
 	return resp, nil
 }
 
-// probe performs one health check: GET /healthz must answer 200 (a
-// draining or dead backend must not receive placements or traffic).
-func (rt *Router) probe(ctx context.Context, b *backend) error {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("router: %s /healthz answered %d", b.url, resp.StatusCode)
-	}
-	return nil
+// recordingBody books its exchange's outcome once: the read error if
+// reading fails, else the verdict when the body ends or is closed.
+type recordingBody struct {
+	io.ReadCloser
+	verdict error
+	book    func(error)
+	once    sync.Once
 }
+
+func (b *recordingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	switch {
+	case err == io.EOF:
+		b.done(b.verdict)
+	case err != nil:
+		b.done(err)
+	}
+	return n, err
+}
+
+func (b *recordingBody) Close() error {
+	b.done(b.verdict)
+	return b.ReadCloser.Close()
+}
+
+func (b *recordingBody) done(err error) { b.once.Do(func() { b.book(err) }) }
 
 // healthLoop polls one backend for its whole life. Each tick consults
 // the breaker first: while open (cooling down after the failure
@@ -100,13 +119,16 @@ func (rt *Router) healthLoop(b *backend) {
 	}
 }
 
-// probeOnce runs a single health check against b and feeds the outcome
-// through the shared breaker/transition machinery.
+// probeOnce runs a single health check against b: GET /healthz must
+// answer 200 (a draining or dead backend must not receive placements or
+// traffic). recordingTransport books the verdict.
 func (rt *Router) probeOnce(b *backend) {
 	if err := b.br.Allow(); err != nil {
 		return // breaker open: still cooling down, stay down
 	}
-	rt.recordBackend(b, rt.probe(context.Background(), b))
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	defer cancel()
+	b.client.Exchange(ctx, remote.Call{Method: http.MethodGet, Path: "/healthz"}) //nolint:errcheck // booked by the transport
 }
 
 // recordBackend feeds one observed outcome (probe or data-path) into
@@ -160,7 +182,7 @@ func (rt *Router) backendDown(b *backend) {
 // is swept at b's next recovery.
 func (rt *Router) backendRecovered(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	targets, err := rt.listBackend(ctx, b)
+	targets, err := b.admin.ListTargets(ctx)
 	cancel()
 	if err != nil {
 		return

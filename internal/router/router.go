@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -194,7 +193,6 @@ func (e *entry) idleFor() time.Duration {
 // paced, proxying to backends it health-checks and heals.
 type Router struct {
 	cfg      Config
-	client   *http.Client
 	backends []*backend
 	core     *httpserve.Server
 
@@ -228,7 +226,6 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:     cfg,
-		client:  cfg.Client,
 		entries: map[string]*entry{},
 		bg:      obs.NewContext(context.Background(), cfg.Telemetry),
 		core: httpserve.New(httpserve.Config{
@@ -237,9 +234,6 @@ func New(cfg Config) (*Router, error) {
 			AuthTokens: cfg.AuthTokens, RetryAfter: cfg.RetryAfter, Telemetry: cfg.Telemetry,
 			SLOTarget: cfg.SLOTarget, SLOObjective: cfg.SLOObjective,
 		}),
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
 	}
 	rt.instrument(cfg.Telemetry.Registry())
 
@@ -266,15 +260,16 @@ func New(cfg Config) (*Router, error) {
 		if reg := cfg.Telemetry.Registry(); reg != nil {
 			b.mUp = reg.Gauge(fmt.Sprintf("router_backend_up{backend=%q}", u))
 		}
-		rc, err := remote.NewClient(u, remote.Options{
-			ClientID:  routerClient,
-			AuthToken: cfg.AuthToken,
-			Client:    &http.Client{Transport: &recordingTransport{rt: rt, b: b, base: rt.client.Transport}},
-		})
+		hc := http.Client{}
+		if cfg.Client != nil {
+			hc = *cfg.Client
+		}
+		hc.Transport = &recordingTransport{rt: rt, b: b, base: hc.Transport}
+		rc, err := remote.NewClient(u, remote.Options{ClientID: routerClient, AuthToken: cfg.AuthToken, Client: &hc})
 		if err != nil {
 			return nil, fmt.Errorf("router: backend %q: %w", raw, err)
 		}
-		b.admin = rc.Admin()
+		b.client, b.admin = rc, rc.Admin()
 		rt.backends = append(rt.backends, b)
 	}
 	if len(rt.backends) == 0 {
@@ -347,74 +342,32 @@ func (rt *Router) Shutdown(ctx context.Context) error { return rt.core.Shutdown(
 // Close is Shutdown with a short bound.
 func (rt *Router) Close() error { return httpserve.Close(rt.Shutdown) }
 
-// forward sends one JSON (or bodyless) request to a backend — the
-// admin/control plane. Data-path proxying goes through forwardHdr,
-// which carries the client's codec headers verbatim.
-func (rt *Router) forward(ctx context.Context, b *backend, method, path string, body []byte, client string) (*http.Response, []byte, error) {
-	return rt.forwardHdr(ctx, b, method, path, body, client, nil)
+// proxy sends one call to b through the backend's client. When the
+// exchange fails it answers for the backend — nothing if the client hung
+// up (nobody is reading), else 503 + Retry-After while failover gets
+// under way — and reports false.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, b *backend, id string, call remote.Call) (*remote.Reply, bool) {
+	rep, err := b.client.Exchange(r.Context(), call)
+	if err != nil {
+		if r.Context().Err() == nil {
+			rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+		}
+		return nil, false
+	}
+	return rep, true
 }
 
-// forwardHdr sends one request to a backend and reads the whole
-// response, feeding the transport outcome into the backend's health
-// machinery (an HTTP response of any status is a live backend; only
-// transport errors count against it). A canceled client context is not
-// held against the backend. hdr entries override the default JSON
-// Content-Type — the data path uses them to relay the client's
-// negotiated codec (Content-Type, Accept, chunk seq) untouched.
-func (rt *Router) forwardHdr(ctx context.Context, b *backend, method, path string, body []byte, client string, hdr map[string]string) (*http.Response, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, b.url+path, strings.NewReader(string(body)))
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	for k, v := range hdr {
-		if v != "" {
-			req.Header.Set(k, v)
-		}
-	}
-	// Trace propagation: the proxy span (or the caller's remote parent)
-	// rides to the backend so its srv_* spans stitch under this hop.
-	if tp := obs.TraceParent(ctx); tp != "" {
-		req.Header.Set(wire.TraceHeader, tp)
-	}
-	if client != "" {
-		req.Header.Set(wire.ClientHeader, client)
-	}
-	if rt.cfg.AuthToken != "" {
-		req.Header.Set("Authorization", "Bearer "+rt.cfg.AuthToken)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			rt.recordBackend(b, err)
-		}
-		return nil, nil, err
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBody))
-	resp.Body.Close()
-	if err != nil {
-		if ctx.Err() == nil {
-			rt.recordBackend(b, err)
-		}
-		return nil, nil, err
-	}
-	rt.recordBackend(b, nil)
-	return resp, raw, nil
-}
-
-// passthrough relays a backend response verbatim: status, body and the
+// passthrough relays a backend reply verbatim: status, body and the
 // headers the wire protocol cares about.
-func (rt *Router) passthrough(w http.ResponseWriter, resp *http.Response, raw []byte) {
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
+func (rt *Router) passthrough(w http.ResponseWriter, rep *remote.Reply) {
+	if ct := rep.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
+	if ra := rep.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(raw) //nolint:errcheck // client hang-ups are its problem
+	w.WriteHeader(rep.Status)
+	w.Write(rep.Body) //nolint:errcheck // client hang-ups are its problem
 }
 
 // resolveData runs the shared data-path preamble: drain gate, client
@@ -454,23 +407,17 @@ func (rt *Router) resolveData(w http.ResponseWriter, r *http.Request, id string)
 	return e, client, true
 }
 
-// dataContentType is the Content-Type a data-path body arrived in,
-// defaulting absent headers to JSON (the v1 behaviour) so journal
-// entries always carry an explicit codec.
-func dataContentType(r *http.Request) string {
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		return ct
+// relay is the proxied form of a data-path POST: the body under the
+// client's identity, with the codec headers it arrived with — its
+// Content-Type (JSON when absent, the v1 behaviour, so journal entries
+// always carry an explicit codec) and its Accept ask, absent if absent.
+func relay(r *http.Request, path string, body []byte, client string) remote.Call {
+	ct := r.Header.Get("Content-Type")
+	if ct == "" {
+		ct = wire.JSONContentType
 	}
-	return wire.JSONContentType
-}
-
-// dataHdr collects the codec headers a data-path proxy hop relays
-// verbatim: the body's Content-Type and the client's Accept ask.
-func dataHdr(r *http.Request) map[string]string {
-	return map[string]string{
-		"Content-Type": dataContentType(r),
-		"Accept":       r.Header.Get("Accept"),
-	}
+	return remote.Call{Method: http.MethodPost, Path: path, ContentType: ct, Accept: r.Header.Get("Accept"),
+		Body: body, ClientID: client}
 }
 
 // handleData proxies one estimate or execute to the tenant's backend,
@@ -486,13 +433,11 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 	if !ok {
 		return
 	}
-	hdr := dataHdr(r)
-
 	op := "estimate"
 	if exec {
 		op = "execute"
 	}
-	path := "/v1/targets/" + id + "/" + op
+	call := relay(r, "/v1/targets/"+id+"/"+op, body, client)
 
 	if !exec {
 		rt.mu.Lock()
@@ -502,15 +447,9 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 			rt.core.Shed(w, wire.CodeNotReady, "tenant "+id+" losing its backend; failover under way")
 			return
 		}
-		resp, raw, err := rt.forwardHdr(r.Context(), b, http.MethodPost, path, body, client, hdr)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // client hung up; nobody is reading
-			}
-			rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
-			return
+		if rep, ok := rt.proxy(w, r, b, id, call); ok {
+			rt.passthrough(w, rep)
 		}
-		rt.passthrough(w, resp, raw)
 		return
 	}
 
@@ -527,18 +466,14 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 	}
 	b := e.backend
 	rt.mu.Unlock()
-	resp, raw, err := rt.forwardHdr(r.Context(), b, http.MethodPost, path, body, client, hdr)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	rep, ok := rt.proxy(w, r, b, id, call)
+	if !ok {
 		return
 	}
-	if resp.StatusCode == http.StatusOK {
-		e.journal = append(e.journal, journalEntry{contentType: hdr["Content-Type"], body: body})
+	if rep.Status == http.StatusOK {
+		e.journal = append(e.journal, journalEntry{contentType: call.ContentType, body: body})
 	}
-	rt.passthrough(w, resp, raw)
+	rt.passthrough(w, rep)
 }
 
 // handleCreate admits a tenant (quotas), places it by rendezvous hash
@@ -604,7 +539,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		rt.core.Shed(w, wire.CodeNotReady, "no backend up to place tenant "+id)
 		return
 	}
-	resp, raw, err := rt.createOn(r.Context(), b, req, owner)
+	rep, err := rt.createOn(r.Context(), b, req, owner)
 	if err != nil {
 		rt.dropEntry(id, e)
 		if r.Context().Err() != nil {
@@ -613,9 +548,9 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		rt.core.Shed(w, wire.CodeNotReady, "backend "+b.url+" unreachable: "+err.Error())
 		return
 	}
-	if resp.StatusCode != http.StatusOK {
+	if rep.Status != http.StatusOK {
 		rt.dropEntry(id, e)
-		rt.passthrough(w, resp, raw)
+		rt.passthrough(w, rep)
 		return
 	}
 	rt.mu.Lock()
@@ -630,25 +565,26 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.mu.Unlock()
-	rt.passthrough(w, resp, raw)
+	rt.passthrough(w, rep)
 }
 
 // createOn provisions spec on b. A 409 means a stale tenant from before
 // a router restart or failover still lives there — it is deleted and
 // the create retried once, making the router's placement authoritative.
-func (rt *Router) createOn(ctx context.Context, b *backend, req wire.CreateTargetRequest, owner string) (*http.Response, []byte, error) {
+func (rt *Router) createOn(ctx context.Context, b *backend, req wire.CreateTargetRequest, owner string) (*remote.Reply, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	resp, raw, err := rt.forward(ctx, b, http.MethodPost, "/v1/targets", body, owner)
-	if err != nil || resp.StatusCode != http.StatusConflict {
-		return resp, raw, err
+	call := remote.Call{Method: http.MethodPost, Path: "/v1/targets", ContentType: wire.JSONContentType, Body: body, ClientID: owner}
+	rep, err := b.client.Exchange(ctx, call)
+	if err != nil || rep.Status != http.StatusConflict {
+		return rep, err
 	}
 	if err := rt.deleteOnBackend(ctx, b, req.Target.ID); err != nil {
-		return resp, raw, nil // keep the 409; the stale world would not budge
+		return rep, nil // keep the 409; the stale world would not budge
 	}
-	return rt.forward(ctx, b, http.MethodPost, "/v1/targets", body, owner)
+	return b.client.Exchange(ctx, call)
 }
 
 func (rt *Router) dropEntry(id string, e *entry) {
@@ -892,18 +828,18 @@ func (rt *Router) provision(parent context.Context, e *entry, b *backend) error 
 // — a freshly built tenant can still rate-limit the router's replay
 // identity.
 func (rt *Router) replayExecute(ctx context.Context, b *backend, id string, je journalEntry) error {
-	hdr := map[string]string{"Content-Type": je.contentType}
+	call := remote.Call{Method: http.MethodPost, Path: "/v1/targets/" + id + "/execute", ContentType: je.contentType, Body: je.body}
 	for {
-		resp, raw, err := rt.forwardHdr(ctx, b, http.MethodPost, "/v1/targets/"+id+"/execute", je.body, routerClient, hdr)
+		rep, err := b.client.Exchange(ctx, call)
 		if err != nil {
 			return err
 		}
-		switch resp.StatusCode {
+		switch rep.Status {
 		case http.StatusOK:
 			return nil
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			d := 100 * time.Millisecond
-			if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
+			if secs, aerr := strconv.Atoi(rep.Header.Get("Retry-After")); aerr == nil && secs > 0 {
 				d = time.Duration(secs) * time.Second
 			}
 			select {
@@ -912,7 +848,7 @@ func (rt *Router) replayExecute(ctx context.Context, b *backend, id string, je j
 			case <-time.After(d):
 			}
 		default:
-			return fmt.Errorf("router: replay execute %s on %s: http %d: %s", id, b.url, resp.StatusCode, raw)
+			return fmt.Errorf("router: replay execute %s on %s: http %d: %s", id, b.url, rep.Status, rep.Body)
 		}
 	}
 }
@@ -966,11 +902,6 @@ func (rt *Router) sleep(d time.Duration) bool {
 	case <-time.After(d):
 		return true
 	}
-}
-
-// listBackend asks a backend for its hosted tenants (reconciliation).
-func (rt *Router) listBackend(ctx context.Context, b *backend) ([]wire.TargetInfo, error) {
-	return b.admin.ListTargets(ctx)
 }
 
 // deleteOnBackend destroys one tenant on one backend; already gone

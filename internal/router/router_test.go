@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pace/internal/ce"
+	"pace/internal/httpserve"
 	"pace/internal/obs"
 	"pace/internal/query"
 	"pace/internal/remote"
@@ -136,7 +137,7 @@ func doJSON(t *testing.T, method, url string, body, dst any, client string) (*ht
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if client != "" {
-		req.Header.Set(targetserver.ClientHeader, client)
+		req.Header.Set(wire.ClientHeader, client)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -428,7 +429,7 @@ func TestIdleEvictionRevivesBitExact(t *testing.T) {
 // against a fleet.
 func TestLegacyRoutesAliasDefault(t *testing.T) {
 	f := newFleet(t, 2, router.Config{})
-	if resp, _ := createTenant(t, f, targetserver.DefaultTenant, "alice"); resp.StatusCode != http.StatusOK {
+	if resp, _ := createTenant(t, f, httpserve.DefaultTenant, "alice"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("create default: %d", resp.StatusCode)
 	}
 	req := wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}

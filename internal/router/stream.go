@@ -26,6 +26,7 @@ import (
 	"strconv"
 
 	"pace/internal/httpserve"
+	"pace/internal/remote"
 	"pace/internal/wire"
 )
 
@@ -89,15 +90,12 @@ func (rt *Router) handleOpenExecution(w http.ResponseWriter, r *http.Request, id
 	if !ok {
 		return
 	}
-	resp, raw, err := rt.forward(r.Context(), b, http.MethodPost, "/v1/targets/"+id+"/executions", body, client)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	rep, ok := rt.proxy(w, r, b, id, remote.Call{Method: http.MethodPost, Path: "/v1/targets/" + id + "/executions",
+		ContentType: wire.JSONContentType, Body: body, ClientID: client})
+	if !ok {
 		return
 	}
-	if resp.StatusCode == http.StatusOK {
+	if rep.Status == http.StatusOK {
 		if e.streams == nil {
 			e.streams = map[string]map[int64]bool{}
 		}
@@ -106,7 +104,7 @@ func (rt *Router) handleOpenExecution(w http.ResponseWriter, r *http.Request, id
 		}
 		rt.mStreamOpens.Inc()
 	}
-	rt.passthrough(w, resp, raw)
+	rt.passthrough(w, rep)
 }
 
 // handleExecutionChunk proxies one chunk, deduping against the journal
@@ -128,8 +126,8 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 	if !ok {
 		return
 	}
-	hdr := dataHdr(r)
-	hdr[wire.ChunkSeqHeader] = seqRaw
+	call := relay(r, "/v1/targets/"+id+"/executions/"+token, body, client)
+	call.Header = map[string]string{wire.ChunkSeqHeader: seqRaw}
 
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
@@ -145,33 +143,20 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 	if !ok {
 		return
 	}
-	path := "/v1/targets/" + id + "/executions/" + token
-	resp, raw, err := rt.forwardHdr(r.Context(), b, http.MethodPost, path, body, client, hdr)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	rep, ok := rt.proxy(w, r, b, id, call)
+	if !ok {
 		return
 	}
-	if resp.StatusCode == http.StatusNotFound &&
-		bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {
-		if _, known := e.streams[token]; known {
-			// The backend was rebuilt from the journal and lost its
-			// execution registry. Re-open there and forward once more.
-			if rt.reopenExecution(r.Context(), b, id, token) {
-				resp, raw, err = rt.forwardHdr(r.Context(), b, http.MethodPost, path, body, client, hdr)
-				if err != nil {
-					if r.Context().Err() != nil {
-						return
-					}
-					rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
-					return
-				}
-			}
+	if _, known := e.streams[token]; known && rep.Status == http.StatusNotFound &&
+		bytes.Contains(rep.Body, []byte(wire.CodeUnknownExecution)) &&
+		rt.reopenExecution(r.Context(), b, id, token) {
+		// The backend was rebuilt from the journal and lost its execution
+		// registry. Re-opened there; forward once more.
+		if rep, ok = rt.proxy(w, r, b, id, call); !ok {
+			return
 		}
 	}
-	if resp.StatusCode == http.StatusAccepted {
+	if rep.Status == http.StatusAccepted {
 		if e.streams == nil {
 			e.streams = map[string]map[int64]bool{}
 		}
@@ -179,10 +164,10 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 			e.streams[token] = map[int64]bool{}
 		}
 		e.streams[token][seq] = true
-		e.journal = append(e.journal, journalEntry{contentType: hdr["Content-Type"], body: body, stream: true})
+		e.journal = append(e.journal, journalEntry{contentType: call.ContentType, body: body, stream: true})
 		rt.mStreamFwd.Inc()
 	}
-	rt.passthrough(w, resp, raw)
+	rt.passthrough(w, rep)
 }
 
 // reopenExecution re-registers a stream's token on a rebuilt backend.
@@ -191,8 +176,9 @@ func (rt *Router) reopenExecution(ctx context.Context, b *backend, id, token str
 	if err != nil {
 		return false
 	}
-	resp, _, err := rt.forward(ctx, b, http.MethodPost, "/v1/targets/"+id+"/executions", body, routerClient)
-	return err == nil && resp.StatusCode == http.StatusOK
+	rep, err := b.client.Exchange(ctx, remote.Call{Method: http.MethodPost, Path: "/v1/targets/" + id + "/executions",
+		ContentType: wire.JSONContentType, Body: body})
+	return err == nil && rep.Status == http.StatusOK
 }
 
 // handleExecutionStatus proxies the completion poll. A backend 404 for
@@ -208,21 +194,17 @@ func (rt *Router) handleExecutionStatus(w http.ResponseWriter, r *http.Request, 
 	if !ok {
 		return
 	}
-	resp, raw, err := rt.forward(r.Context(), b, http.MethodGet, "/v1/targets/"+id+"/executions/"+token, nil, client)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	rep, ok := rt.proxy(w, r, b, id, remote.Call{Method: http.MethodGet, Path: "/v1/targets/" + id + "/executions/" + token, ClientID: client})
+	if !ok {
 		return
 	}
-	if resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {
+	if rep.Status == http.StatusNotFound && bytes.Contains(rep.Body, []byte(wire.CodeUnknownExecution)) {
 		if n, known := e.knownStream(token); known {
 			rt.syntheticAck(w, http.StatusOK, token, wire.ExecutionDone, n)
 			return
 		}
 	}
-	rt.passthrough(w, resp, raw)
+	rt.passthrough(w, rep)
 }
 
 // handleExecutionDelete proxies a stream delete. The router's own
@@ -238,19 +220,15 @@ func (rt *Router) handleExecutionDelete(w http.ResponseWriter, r *http.Request, 
 	if !ok {
 		return
 	}
-	resp, raw, err := rt.forward(r.Context(), b, http.MethodDelete, "/v1/targets/"+id+"/executions/"+token, nil, client)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.core.Shed(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	rep, ok := rt.proxy(w, r, b, id, remote.Call{Method: http.MethodDelete, Path: "/v1/targets/" + id + "/executions/" + token, ClientID: client})
+	if !ok {
 		return
 	}
-	if resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {
+	if rep.Status == http.StatusNotFound && bytes.Contains(rep.Body, []byte(wire.CodeUnknownExecution)) {
 		if n, known := e.knownStream(token); known {
 			rt.syntheticAck(w, http.StatusOK, token, wire.ExecutionDone, n)
 			return
 		}
 	}
-	rt.passthrough(w, resp, raw)
+	rt.passthrough(w, rep)
 }

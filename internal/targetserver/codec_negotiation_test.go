@@ -27,7 +27,7 @@ func postRaw(t *testing.T, url, contentType, accept string, body []byte, hdr map
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
-	req.Header.Set(targetserver.ClientHeader, "codec-test")
+	req.Header.Set(wire.ClientHeader, "codec-test")
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}

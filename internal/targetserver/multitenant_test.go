@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pace/internal/ce"
+	"pace/internal/httpserve"
 	"pace/internal/obs"
 	"pace/internal/query"
 	"pace/internal/targetserver"
@@ -108,7 +109,7 @@ func request(t *testing.T, method, url string, body any, client, token string) *
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if client != "" {
-		req.Header.Set(targetserver.ClientHeader, client)
+		req.Header.Set(wire.ClientHeader, client)
 	}
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
@@ -274,7 +275,7 @@ func TestAuthTokensGateAndDeriveIdentity(t *testing.T) {
 }
 
 func TestParseAuthTokens(t *testing.T) {
-	tokens, err := targetserver.ParseAuthTokens(strings.NewReader(`
+	tokens, err := httpserve.ParseAuthTokens(strings.NewReader(`
 # comment
 tok-1 alice
 tok-2   bob
@@ -285,10 +286,10 @@ tok-2   bob
 	if len(tokens) != 2 || tokens["tok-1"] != "alice" || tokens["tok-2"] != "bob" {
 		t.Fatalf("tokens = %v", tokens)
 	}
-	if _, err := targetserver.ParseAuthTokens(strings.NewReader("t a\nt b\n")); err == nil {
+	if _, err := httpserve.ParseAuthTokens(strings.NewReader("t a\nt b\n")); err == nil {
 		t.Error("duplicate token accepted")
 	}
-	if _, err := targetserver.ParseAuthTokens(strings.NewReader("lonely-token\n")); err == nil {
+	if _, err := httpserve.ParseAuthTokens(strings.NewReader("lonely-token\n")); err == nil {
 		t.Error("token without client name accepted")
 	}
 }

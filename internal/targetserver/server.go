@@ -36,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -49,18 +48,6 @@ import (
 	"pace/internal/tenant"
 	"pace/internal/wire"
 )
-
-// DefaultTenant is the id the legacy unrouted endpoints alias.
-const DefaultTenant = httpserve.DefaultTenant
-
-// ClientHeader names the self-reported client identity header used for
-// per-client rate limiting when no auth tokens are configured; see
-// wire.ClientHeader.
-const ClientHeader = wire.ClientHeader
-
-// ParseAuthTokens reads a token file in the -auth-tokens format of
-// cmd/paced; see httpserve.ParseAuthTokens.
-func ParseAuthTokens(r io.Reader) (map[string]string, error) { return httpserve.ParseAuthTokens(r) }
 
 // Config tunes the service. The zero value serves with sane defaults.
 // The per-tenant serving knobs (MaxBatch … Burst) apply to every tenant
@@ -177,7 +164,7 @@ type Server struct {
 func New(target ce.Target, meta *query.Meta, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := tenant.NewRegistry(cfg.Factory, cfg.TenantConfig())
-	if _, err := reg.Add(tenant.Spec{ID: DefaultTenant}, target, meta); err != nil {
+	if _, err := reg.Add(tenant.Spec{ID: httpserve.DefaultTenant}, target, meta); err != nil {
 		panic("targetserver: registering default tenant: " + err.Error()) // fresh registry: unreachable
 	}
 	return NewMulti(reg, cfg)

@@ -107,7 +107,7 @@ func postJSON(t *testing.T, url string, body any, client string) *http.Response 
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if client != "" {
-		req.Header.Set(targetserver.ClientHeader, client)
+		req.Header.Set(wire.ClientHeader, client)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -10,11 +10,11 @@ import (
 // patterns), so a hit returns the bit-identical estimate the model would
 // recompute.
 //
-// Correctness under retraining: every Execute flushes the cache and
-// bumps a generation counter. An estimate that was being computed while
-// a retrain landed carries the generation it started under, and put
-// drops it if the generation moved — a pre-retrain answer can never be
-// cached as a post-retrain one.
+// Correctness under retraining: every retrain flushes the cache, before
+// its execute is acked, and bumps a generation counter. An estimate that
+// was being computed while a retrain landed carries the generation it
+// started under, and put drops it if the generation moved — a
+// pre-retrain answer can never be cached as a post-retrain one.
 type estCache struct {
 	mu     sync.Mutex
 	cap    int

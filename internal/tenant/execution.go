@@ -153,9 +153,6 @@ func (t *Tenant) SubmitChunk(ctx context.Context, token string, seq int64, qs []
 	e.pending++
 	t.execsMu.Unlock()
 
-	if t.cache != nil {
-		t.cache.flush() // the model's answers are about to change
-	}
 	// The job keeps the request's telemetry and trace values but not its
 	// lifetime: the 202 ack returns before the retrain runs, so the
 	// submitting request expiring must not cancel the work.

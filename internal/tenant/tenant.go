@@ -380,16 +380,14 @@ func (t *Tenant) Estimate(ctx context.Context, qs []*query.Query) ([]float64, er
 }
 
 // Execute applies an executed-workload (retraining) batch through the
-// model goroutine. The estimate cache is flushed — the model's answers
-// change — before the update is queued and again after it applies, so no
-// stale estimate survives the retrain.
+// model goroutine. The model's answers change, so the estimate cache is
+// flushed once the update applies and before Execute returns: an
+// estimate issued after an acked execute always reflects it (see
+// runExec).
 func (t *Tenant) Execute(ctx context.Context, qs []*query.Query, cards []float64) error {
 	t.lastActive.Store(time.Now().UnixNano())
 	t.m.ExecReqs.Inc()
 	t.m.ExecQueries.Add(int64(len(qs)))
-	if t.cache != nil {
-		t.cache.flush()
-	}
 	job := &execJob{ctx: ctx, qs: qs, cards: cards, reply: make(chan error, 1)}
 	select {
 	case t.execQ <- job:
@@ -517,18 +515,22 @@ func (t *Tenant) evalJob(j *estJob) estReply {
 	return estReply{ests: ests}
 }
 
+// runExec applies one retrain and flushes the cache before the ack. One
+// flush suffices because estimates are evaluated on this goroutine too:
+// an estimate that read the cache generation before the flush has its
+// put dropped, and one that read it after is evaluated on the retrained
+// model.
 func (t *Tenant) runExec(j *execJob) {
-	defer func() {
-		if t.cache != nil {
-			t.cache.flush()
-		}
-	}()
 	if err := j.ctx.Err(); err != nil {
 		j.reply <- err
 		return
 	}
 	ctx, sp := obs.StartSpan(j.ctx, "retrain", obs.Int("queries", len(j.qs)))
-	j.reply <- t.target.ExecuteWorkload(ctx, j.qs, j.cards)
+	err := t.target.ExecuteWorkload(ctx, j.qs, j.cards)
+	if t.cache != nil {
+		t.cache.flush()
+	}
+	j.reply <- err
 	sp.End()
 }
 

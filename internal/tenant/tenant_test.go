@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pace/internal/ce"
+	"pace/internal/obs"
 	"pace/internal/query"
 )
 
@@ -519,4 +520,56 @@ func TestRegistryCreateIsVisibleWhileProvisioning(t *testing.T) {
 		t.Fatalf("get after provisioning: %v", err)
 	}
 	r.DrainAll(context.Background()) //nolint:errcheck // test cleanup
+}
+
+// stallWriter sleeps on every write. A tracer over it stalls whichever
+// span End happens to flush the tracer's buffer — a slow trace sink, as
+// a real file or pipe under load can be.
+type stallWriter struct{}
+
+func (stallWriter) Write(p []byte) (int, error) {
+	time.Sleep(200 * time.Microsecond)
+	return len(p), nil
+}
+
+// TestReadYourWritesAfterExecute pins the read-your-writes contract: an
+// estimate issued after Execute returned reflects that retrain, even
+// while another client keeps re-caching the same query. Execute runs
+// traced into a stalling sink, so the model goroutine sometimes stalls
+// right after the ack, where a cache flush that came after the ack let
+// a pre-retrain estimate through.
+func TestReadYourWritesAfterExecute(t *testing.T) {
+	ct := &countTarget{}
+	tn := newTestTenant(t, Spec{CacheSize: 8}, ct)
+	qs := []*query.Query{testQuery(0.25)}
+	traced := obs.NewContext(context.Background(), &obs.Telemetry{Tracer: obs.NewTracer(stallWriter{})})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tn.Estimate(context.Background(), qs) //nolint:errcheck // only keeps the entry hot
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+
+	for round := 1; round <= 6000; round++ {
+		if err := tn.Execute(traced, qs, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tn.Estimate(context.Background(), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 0.75 + float64(round); got[0] != want {
+			t.Fatalf("round %d: estimate after an acked execute = %v, want the post-retrain %v", round, got[0], want)
+		}
+	}
 }

@@ -72,11 +72,11 @@ func TestRoundTripAdversarialBounds(t *testing.T) {
 
 	q := query.New(m)
 	q.Tables[0] = true
-	q.Bounds[0] = [2]float64{0, 1}          // open: dropped, reproduced
-	q.Bounds[1] = [2]float64{negZero, 1}    // canonicalized to [+0, 1]
-	q.Bounds[2] = [2]float64{negZero, 0.5}  // -0 must survive
-	q.Bounds[3] = [2]float64{subnormal, 1}  // subnormal must survive
-	q.Bounds[4] = [2]float64{0, subnormal}  // degenerate sliver at 0
+	q.Bounds[0] = [2]float64{0, 1}         // open: dropped, reproduced
+	q.Bounds[1] = [2]float64{negZero, 1}   // canonicalized to [+0, 1]
+	q.Bounds[2] = [2]float64{negZero, 0.5} // -0 must survive
+	q.Bounds[3] = [2]float64{subnormal, 1} // subnormal must survive
+	q.Bounds[4] = [2]float64{0, subnormal} // degenerate sliver at 0
 	w := []Labeled{{Q: q, Card: 1}}
 
 	var buf bytes.Buffer

@@ -72,11 +72,11 @@ func gammaSample(rng *rand.Rand, k float64) float64 {
 // result is ServeGen-style coordinated burstiness — idle gaps followed
 // by windows of concentrated fire.
 type onOffClock struct {
-	rng          *rand.Rand
-	onMean       float64
-	offMean      float64
-	wall         float64 // wall-time cursor, seconds
-	onRemaining  float64 // seconds of the current on-window past the cursor
+	rng         *rand.Rand
+	onMean      float64
+	offMean     float64
+	wall        float64 // wall-time cursor, seconds
+	onRemaining float64 // seconds of the current on-window past the cursor
 }
 
 // newOnOffClock starts a client's window sequence. The initial phase is

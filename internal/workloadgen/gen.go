@@ -25,9 +25,9 @@ type Arrival struct {
 // once generated; replaying it (loadgen.RunSchedule) or recording it
 // (WriteTrace) never mutates it.
 type Schedule struct {
-	Spec    Spec
-	Clients []Client
-	Queries []*query.Query
+	Spec     Spec
+	Clients  []Client
+	Queries  []*query.Query
 	Arrivals []Arrival
 }
 
