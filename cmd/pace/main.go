@@ -62,8 +62,6 @@ func main() {
 		tenantID  = flag.String("target", "", "tenant id at a multi-tenant paced host (default: the host's default tenant)")
 		authToken = cli.AuthToken()
 		codecName = flag.String("codec", "binary", "data-path wire codec for the remote target: binary or json (the client downgrades to json if the server answers 415)")
-		streamEx  = flag.Bool("stream-execute", false, "deliver the poisoning workload over the streamed-execute protocol (chunked upload, async completion poll) instead of sequential synchronous posts")
-		streamChk = flag.Int("stream-chunk", 0, "queries per streamed-execute chunk (0 = default 512)")
 
 		retryAttempts = flag.Int("retry-attempts", 0, "retry budget per target/oracle call, campaign and evaluation traffic alike (0 = policy default of 3); raise it to ride out a backend failover behind pacerouter")
 
@@ -201,8 +199,6 @@ func main() {
 		campaign.Remote.Tenant = *tenantID
 		campaign.Remote.AuthToken = *authToken
 		campaign.Remote.Codec = *codecName
-		campaign.Remote.StreamExecute = *streamEx
-		campaign.Remote.StreamChunk = *streamChk
 	} else {
 		campaign.Target = evalTarget
 	}

@@ -1,6 +1,6 @@
 // Package faults makes the target unreliable on purpose. PACE's threat
 // model reaches the victim estimator over remote SQL access, so probes,
-// EXPLAIN estimates, COUNT(*) labels and poison executions all cross a
+// EXPLAIN estimates, COUNT(*) labels and poison executes all cross a
 // network to a live DBMS that can be slow, flaky, rate-limited or
 // wrong. An Injector wraps the black-box target (ce.Target) and the
 // COUNT(*) oracle and injects latency, transient errors, dropped

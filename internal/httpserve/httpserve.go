@@ -6,8 +6,9 @@
 //   - the data-path preamble: X-Pace-Trace extraction, the srv_* or
 //     proxy_* span, and per-(route, tenant) RED metrics with the
 //     tenant's SLO burn;
-//   - the eight data routes both servers mount the same way (MountData),
-//     including the legacy unrouted /v1/estimate|execute aliases;
+//   - the four data routes both servers mount the same way (MountData):
+//     the routed estimate and execute and their legacy unrouted
+//     /v1/estimate|execute aliases;
 //   - bearer-token auth and the client identity it derives;
 //   - drain state, the listener, background loops and the idle janitor;
 //   - error, JSON and shed replies, bounded body reads and versioned
@@ -242,42 +243,27 @@ func (s *Server) RefuseDraining(w http.ResponseWriter) bool {
 }
 
 // DataRoutes are one server's data-plane handlers; id is the tenant the
-// request routes to, token the streamed execution's.
+// request routes to.
 type DataRoutes struct {
-	Estimate, Execute, OpenExecution                 func(w http.ResponseWriter, r *http.Request, id string)
-	ExecutionChunk, ExecutionStatus, ExecutionDelete func(w http.ResponseWriter, r *http.Request, id, token string)
+	Estimate, Execute func(w http.ResponseWriter, r *http.Request, id string)
 }
 
 // MountData registers the data routes: the routed estimate and execute,
-// the four streamed-execution routes, and the legacy unrouted
-// /v1/estimate|execute aliases of DefaultTenant. Each is metered per
-// (route, tenant) and spanned <Span>_<route> under a traced caller.
+// and the legacy unrouted /v1/estimate|execute aliases of
+// DefaultTenant. Each is metered per (route, tenant) and spanned
+// <Span>_<route> under a traced caller.
 func (s *Server) MountData(d DataRoutes) {
-	withToken := func(fn func(http.ResponseWriter, *http.Request, string, string)) func(http.ResponseWriter, *http.Request, string) {
-		return func(w http.ResponseWriter, r *http.Request, id string) { fn(w, r, id, r.PathValue("token")) }
-	}
 	for _, rt := range []struct {
-		method, path, route string
-		spanned, alias      bool
-		fn                  func(http.ResponseWriter, *http.Request, string)
+		path, route string
+		alias       bool
+		fn          func(http.ResponseWriter, *http.Request, string)
 	}{
-		{"POST", "/v1/estimate", "estimate", true, true, d.Estimate},
-		{"POST", "/v1/execute", "execute", true, true, d.Execute},
-		{"POST", "/v1/targets/{id}/estimate", "estimate", true, false, d.Estimate},
-		{"POST", "/v1/targets/{id}/execute", "execute", true, false, d.Execute},
-		{"POST", "/v1/targets/{id}/executions", "exec_open", true, false, d.OpenExecution},
-		{"POST", "/v1/targets/{id}/executions/{token}", "exec_chunk", true, false, withToken(d.ExecutionChunk)},
-		// Status polls are RED-metered but never spanned: poll counts are
-		// timing-dependent, and spans here would break the fixed-seed
-		// trace-structure determinism contract.
-		{"GET", "/v1/targets/{id}/executions/{token}", "exec_status", false, false, withToken(d.ExecutionStatus)},
-		{"DELETE", "/v1/targets/{id}/executions/{token}", "exec_delete", true, false, withToken(d.ExecutionDelete)},
+		{"/v1/estimate", "estimate", true, d.Estimate},
+		{"/v1/execute", "execute", true, d.Execute},
+		{"/v1/targets/{id}/estimate", "estimate", false, d.Estimate},
+		{"/v1/targets/{id}/execute", "execute", false, d.Execute},
 	} {
-		span := ""
-		if rt.spanned {
-			span = s.cfg.Span + "_" + rt.route
-		}
-		s.mux.HandleFunc(rt.method+" "+rt.path, func(w http.ResponseWriter, r *http.Request) {
+		s.mux.HandleFunc("POST "+rt.path, func(w http.ResponseWriter, r *http.Request) {
 			id := r.PathValue("id")
 			if rt.alias {
 				id = DefaultTenant
@@ -285,7 +271,7 @@ func (s *Server) MountData(d DataRoutes) {
 					s.deprecateLegacy(w, rt.path)
 				}
 			}
-			s.serveData(w, r, id, rt.route, span, rt.fn)
+			s.serveData(w, r, id, rt.route, rt.fn)
 		})
 	}
 }
@@ -306,21 +292,18 @@ func (s *Server) deprecateLegacy(w http.ResponseWriter, path string) {
 
 // serveData wraps one data-path handler with the observability
 // preamble: trace extraction (an X-Pace-Trace header makes this hop's
-// work parent under the remote caller's span; spanName "" means the
-// route is metered but never spanned) and per-(route, tenant) RED
+// work parent under the remote caller's span) and per-(route, tenant) RED
 // accounting with the tenant's SLO burn and a slow-request exemplar
 // carrying the trace ID.
 // Requests without the header are never spanned, which keeps trace
 // structure a pure function of the instrumented client's behaviour.
-func (s *Server) serveData(w http.ResponseWriter, r *http.Request, id, route, spanName string, fn func(http.ResponseWriter, *http.Request, string)) {
+func (s *Server) serveData(w http.ResponseWriter, r *http.Request, id, route string, fn func(http.ResponseWriter, *http.Request, string)) {
 	ctx := obs.NewContext(r.Context(), s.cfg.Telemetry)
 	var sp *obs.Span
 	if tp := r.Header.Get(wire.TraceHeader); tp != "" {
 		if trace, span, ok := obs.ParseTraceParent(tp); ok {
 			ctx = obs.ContextWithRemoteParent(ctx, trace, span)
-			if spanName != "" {
-				ctx, sp = obs.StartSpan(ctx, spanName, obs.String("tenant", id))
-			}
+			ctx, sp = obs.StartSpan(ctx, s.cfg.Span+"_"+route, obs.String("tenant", id))
 		}
 	}
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -377,26 +360,19 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return raw, true
 }
 
-// DecodeRequest strictly decodes a JSON control-plane request (a target
-// create or an execution open) into dst and checks its protocol
-// version, answering 400 itself when either fails.
-func (s *Server) DecodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
+// DecodeRequest strictly decodes a JSON target-create request into dst
+// and checks its protocol version, answering 400 itself when either
+// fails.
+func (s *Server) DecodeRequest(w http.ResponseWriter, r *http.Request, dst *wire.CreateTargetRequest) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "malformed body: "+err.Error())
 		return false
 	}
-	var v int
-	switch req := dst.(type) {
-	case *wire.CreateTargetRequest:
-		v = req.V
-	case *wire.OpenExecutionRequest:
-		v = req.V
-	}
-	if v != wire.Version {
+	if dst.V != wire.Version {
 		WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("protocol version %d, %s speaks %d", v, s.cfg.Noun, wire.Version))
+			fmt.Sprintf("protocol version %d, %s speaks %d", dst.V, s.cfg.Noun, wire.Version))
 		return false
 	}
 	return true

@@ -5,10 +5,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"pace/internal/obs"
@@ -23,6 +26,12 @@ type Client struct {
 	opts  Options
 	httpc *http.Client
 	codec wire.Codec
+
+	// tokenBase and tokenSeq mint execute tokens: a random per-Client
+	// base, so tokens of different clients never collide at a tenant,
+	// and a counter, so each logical execute gets its own.
+	tokenBase string
+	tokenSeq  atomic.Uint64
 }
 
 // NewClient validates the base URL and codec and builds the shared
@@ -53,20 +62,26 @@ func NewClient(baseURL string, opts Options) (*Client, error) {
 			},
 		}
 	}
-	return &Client{base: baseURL, opts: opts, httpc: httpc, codec: codec}, nil
+	return &Client{base: baseURL, opts: opts, httpc: httpc, codec: codec,
+		tokenBase: fmt.Sprintf("x%016x", rand.Uint64())}, nil
+}
+
+// freshToken mints the execute token of a new logical call.
+func (c *Client) freshToken() string {
+	return c.tokenBase + "-" + strconv.FormatUint(c.tokenSeq.Add(1), 10)
 }
 
 // Target hands out the data-path client for one tenant. id "" routes to
-// the legacy unrouted endpoints (the "default" tenant); when the base
-// URL itself already carries /v1/targets/{id}, id is ignored. Targets
-// share the Client's pool — hand out as many as needed.
+// the "default" tenant, which a single-target paced serves; when the
+// base URL itself already carries /v1/targets/{id}, id is ignored.
+// Targets share the Client's pool — hand out as many as needed.
 func (c *Client) Target(id string) *RemoteTarget {
-	prefix := "/v1"
-	switch {
-	case strings.Contains(c.base, "/v1/targets/"):
+	if id == "" {
+		id = "default"
+	}
+	prefix := "/v1/targets/" + url.PathEscape(id)
+	if strings.Contains(c.base, "/v1/targets/") {
 		prefix = "" // the URL already routes to a tenant
-	case id != "":
-		prefix = "/v1/targets/" + url.PathEscape(id)
 	}
 	return &RemoteTarget{c: c, prefix: prefix, opts: c.opts, codec: c.codec}
 }

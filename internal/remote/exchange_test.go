@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -177,7 +176,7 @@ func TestExchangeRelaysHeadersAndStatus(t *testing.T) {
 		Method: http.MethodPost, Path: "/v1/targets/a/estimate",
 		ContentType: wire.BinaryContentType, Body: []byte{1, 2, 3},
 		ClientID: "alice",
-		Header:   map[string]string{"X-Empty": "", wire.ChunkSeqHeader: strconv.Itoa(7)},
+		Header:   map[string]string{"X-Empty": "", wire.ExecuteTokenHeader: "tok-7"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestExchangeRelaysHeadersAndStatus(t *testing.T) {
 		t.Errorf("reply %d %v %q", rep.Status, rep.Header, rep.Body)
 	}
 	if got.Get("Content-Type") != wire.BinaryContentType || got.Get(wire.ClientHeader) != "alice" ||
-		got.Get("Authorization") != "Bearer tok" || got.Get(wire.ChunkSeqHeader) != "7" {
+		got.Get("Authorization") != "Bearer tok" || got.Get(wire.ExecuteTokenHeader) != "tok-7" {
 		t.Errorf("request headers %v", got)
 	}
 	for _, h := range []string{"Accept", "X-Empty"} {

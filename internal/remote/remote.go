@@ -13,8 +13,14 @@
 //     without double accounting.
 //   - With Options.CoalesceWindow set, concurrent EstimateContext
 //     callers coalesce into server batches: the first caller opens the
-//     window; callers arriving inside it ride the same POST
-//     /v1/estimate, up to Options.MaxBatch queries.
+//     window; callers arriving inside it ride the same estimate POST,
+//     up to Options.MaxBatch queries.
+//   - An ExecuteWorkload call is one POST and one retrain on the
+//     server, never split. It carries an X-Pace-Execute-Token: fresh
+//     per logical call, reused only when the same workload is sent
+//     again right after a transient failure — the resilience layer's
+//     retry — so a retry after a lost ack applies nothing twice while
+//     a deliberate repeat applies again.
 //   - Connections pool through one http.Transport; per-call deadlines
 //     map the caller's context onto the exchange, with
 //     Options.RequestTimeout as the backstop when the context carries
@@ -22,11 +28,14 @@
 package remote
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -117,9 +126,9 @@ type Options struct {
 	// there the identity is derived from AuthToken.
 	ClientID string
 	// Tenant routes calls at a multi-tenant host:
-	// /v1/targets/<tenant>/estimate|execute instead of the legacy
-	// unrouted endpoints (which alias the "default" tenant). Ignored when
-	// the base URL itself already carries a /v1/targets/{id} route.
+	// /v1/targets/<tenant>/estimate|execute ("" = the "default"
+	// tenant). Ignored when the base URL itself already carries a
+	// /v1/targets/{id} route.
 	Tenant string
 	// AuthToken, when set, is sent as "Authorization: Bearer <token>" —
 	// required by servers running with -auth-tokens.
@@ -129,16 +138,6 @@ type Options struct {
 	// server rejects the binary codec (415 unsupported_media), the
 	// client downgrades to JSON once and sticks there.
 	Codec string
-	// StreamExecute switches ExecuteWorkload onto the streamed-execute
-	// protocol: chunk uploads acked asynchronously (202 = enqueued) with
-	// a completion poll, instead of sequential synchronous /execute
-	// posts. Exactly-once under whole-stream retries: the execution
-	// token is derived from the workload content and the server dedupes
-	// (token, seq).
-	StreamExecute bool
-	// StreamChunk caps queries per streamed chunk (default 512, max
-	// wire.MaxBatch).
-	StreamChunk int
 	// Client overrides the pooled HTTP client, e.g. to cap connections
 	// or to wrap the transport (pacerouter books backend health in its
 	// wrapper).
@@ -161,12 +160,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Codec == "" {
 		o.Codec = "binary"
-	}
-	if o.StreamChunk <= 0 {
-		o.StreamChunk = 512
-	}
-	if o.StreamChunk > wire.MaxBatch {
-		o.StreamChunk = wire.MaxBatch
 	}
 	return o
 }
@@ -195,8 +188,15 @@ type Stats struct {
 // RemoteTarget implements ce.Target over the paced wire protocol.
 type RemoteTarget struct {
 	c      *Client
-	prefix string // "/v1" or "/v1/targets/<tenant>"
+	prefix string // "/v1/targets/<tenant>", or "" when the base URL routes
 	opts   Options
+
+	// retryMu guards the last execute's transient failure: the content
+	// sum and token of a call a retry must resend under the same token.
+	// retryToken is "" once any execute succeeds or fails permanently.
+	retryMu    sync.Mutex
+	retrySum   uint64
+	retryToken string
 
 	codec      wire.Codec  // configured data codec
 	downgraded atomic.Bool // sticky JSON fallback after a 415
@@ -347,8 +347,11 @@ func (t *RemoteTarget) sendBatch(batch []*pendingEst) {
 
 // ExecuteWorkload implements ce.Target: the feedback channel that makes
 // the remote estimator incrementally retrain. Cards travel bit-exactly.
-// With Options.StreamExecute the workload rides the streamed-execute
-// protocol; otherwise it is chunked into sequential synchronous posts.
+// The workload is one request and one retrain on the server, as
+// in-process; more than wire.MaxBatch queries fail before anything is
+// sent. The request's token is this call's own, or the failed call's
+// when this call resends the same workload right after a transient
+// failure (see executeToken).
 func (t *RemoteTarget) ExecuteWorkload(ctx context.Context, qs []*query.Query, cards []float64) error {
 	if len(qs) != len(cards) {
 		return fmt.Errorf("%w: %d queries with %d cards", ce.ErrInvalidQuery, len(qs), len(cards))
@@ -356,35 +359,74 @@ func (t *RemoteTarget) ExecuteWorkload(ctx context.Context, qs []*query.Query, c
 	if len(qs) == 0 {
 		return nil
 	}
-	if t.opts.StreamExecute {
-		return t.executeStream(ctx, qs, cards)
+	if len(qs) > wire.MaxBatch {
+		return fmt.Errorf("%w: %d queries exceed the %d-query wire cap of one execute",
+			ce.ErrInvalidQuery, len(qs), wire.MaxBatch)
 	}
-	// Chunk to the wire cap; the server applies each chunk in arrival
-	// order through its single trainer goroutine.
-	for lo := 0; lo < len(qs); lo += wire.MaxBatch {
-		hi := lo + wire.MaxBatch
-		if hi > len(qs) {
-			hi = len(qs)
-		}
-		req := wire.ExecuteRequest{
-			V:       wire.Version,
-			Queries: wire.EncodeQueries(qs[lo:hi]),
-			Cards:   wire.FromFloats(cards[lo:hi]),
-		}
-		cctx, sp := obs.StartSpan(ctx, "rpc_execute", obs.Int("queries", hi-lo))
-		err := t.postData(cctx, t.prefix+"/execute",
-			func(c wire.Codec) ([]byte, error) { return c.EncodeExecuteRequest(&req) },
-			func(c wire.Codec, raw []byte) error {
-				_, err := c.DecodeExecuteResponse(raw)
-				return err
-			})
-		sp.End()
-		if err != nil {
+	sum := workloadSum(qs, cards)
+	token := t.executeToken(sum)
+	req := wire.ExecuteRequest{
+		V:       wire.Version,
+		Queries: wire.EncodeQueries(qs),
+		Cards:   wire.FromFloats(cards),
+	}
+	ctx, sp := obs.StartSpan(ctx, "rpc_execute", obs.Int("queries", len(qs)))
+	err := t.postData(ctx, t.prefix+"/execute", token,
+		func(c wire.Codec) ([]byte, error) { return c.EncodeExecuteRequest(&req) },
+		func(c wire.Codec, raw []byte) error {
+			_, err := c.DecodeExecuteResponse(raw)
 			return err
-		}
-		t.queries.Add(int64(hi - lo))
+		})
+	sp.End()
+	t.settleExecute(sum, token, err)
+	if err != nil {
+		return err
 	}
+	t.queries.Add(int64(len(qs)))
 	return nil
+}
+
+// workloadSum is fnv64a over every query key and card bit pattern: two
+// calls carry the same workload iff (barring collisions) their sums
+// match.
+func workloadSum(qs []*query.Query, cards []float64) uint64 {
+	h := fnv.New64a()
+	var lane [8]byte
+	for i, q := range qs {
+		io.WriteString(h, q.Key()) //nolint:errcheck // fnv never fails
+		h.Write([]byte{0})         //nolint:errcheck
+		binary.LittleEndian.PutUint64(lane[:], math.Float64bits(cards[i]))
+		h.Write(lane[:]) //nolint:errcheck
+	}
+	return h.Sum64()
+}
+
+// executeToken picks the token of an execute whose workload sums to
+// sum. A call that resends the workload of the target's last execute,
+// which failed transiently, is that call's retry and reuses its token:
+// the server may have applied it and lost only the ack. Every other
+// call is a new logical execute and gets a fresh token, so a deliberate
+// repeat after a success applies again.
+func (t *RemoteTarget) executeToken(sum uint64) string {
+	t.retryMu.Lock()
+	defer t.retryMu.Unlock()
+	if t.retryToken != "" && t.retrySum == sum {
+		return t.retryToken
+	}
+	return t.c.freshToken()
+}
+
+// settleExecute records an execute's outcome for executeToken: only an
+// ErrUnavailable or ErrOverloaded failure, which the resilience layer
+// retries, keeps the token for the retry.
+func (t *RemoteTarget) settleExecute(sum uint64, token string, err error) {
+	t.retryMu.Lock()
+	defer t.retryMu.Unlock()
+	if errors.Is(err, ErrUnavailable) || errors.Is(err, ErrOverloaded) {
+		t.retrySum, t.retryToken = sum, token
+	} else {
+		t.retryToken = ""
+	}
 }
 
 func (t *RemoteTarget) estimateBatch(ctx context.Context, qs []*query.Query) ([]float64, error) {
@@ -392,7 +434,7 @@ func (t *RemoteTarget) estimateBatch(ctx context.Context, qs []*query.Query) ([]
 	defer sp.End()
 	req := wire.EstimateRequest{V: wire.Version, Queries: wire.EncodeQueries(qs)}
 	var resp *wire.EstimateResponse
-	err := t.postData(ctx, t.prefix+"/estimate",
+	err := t.postData(ctx, t.prefix+"/estimate", "",
 		func(c wire.Codec) ([]byte, error) { return c.EncodeEstimateRequest(&req) },
 		func(c wire.Codec, raw []byte) error {
 			var derr error
@@ -410,85 +452,57 @@ func (t *RemoteTarget) estimateBatch(ctx context.Context, qs []*query.Query) ([]
 	return wire.ToFloats(resp.Estimates), nil
 }
 
-// errUnsupportedCodec marks a 415: the server does not speak the codec
-// the request body arrived in. The data path downgrades to JSON (which
-// every server speaks) and retries once.
-var errUnsupportedCodec = errors.New("remote: server rejected request codec")
-
-// errUnknownExecution marks a 404 carrying the unknown_execution code:
-// the streamed-execute token is not in the server's registry.
-var errUnknownExecution = errors.New("remote: unknown execution")
-
 // postData sends one data-path exchange in the negotiated codec. The
 // request body travels in wireCodec()'s encoding; the Accept header asks
 // for the same back, and the response is decoded by whatever
 // Content-Type the server chose (a binary-asking client must still
 // accept JSON from a JSON-only server). A 415 downgrades the codec to
-// JSON — sticky, so one old server demotes the connection exactly once.
-func (t *RemoteTarget) postData(ctx context.Context, path string, encode func(wire.Codec) ([]byte, error), decode func(wire.Codec, []byte) error) error {
+// JSON — sticky, so one old server demotes the connection exactly once
+// — and resends under the same token. Every other non-200 reply is
+// classified onto the pipeline's error taxonomy; token "" sends no
+// X-Pace-Execute-Token.
+func (t *RemoteTarget) postData(ctx context.Context, path, token string, encode func(wire.Codec) ([]byte, error), decode func(wire.Codec, []byte) error) error {
 	for {
 		c := t.wireCodec()
 		payload, err := encode(c)
 		if err != nil {
 			return fmt.Errorf("remote: encode: %w", err)
 		}
-		raw, respCT, err := t.roundTrip(ctx, http.MethodPost, path, c.ContentType(), "", payload, http.StatusOK)
-		if err != nil {
-			if errors.Is(err, errUnsupportedCodec) && c.Name() != "json" {
-				t.downgraded.Store(true)
-				continue
-			}
-			return err
+		call := Call{Method: http.MethodPost, Path: path, ContentType: c.ContentType(), Body: payload,
+			ClientID: t.opts.ClientID, Backstop: t.opts.RequestTimeout}
+		if c.Name() == "binary" {
+			// Ask for binary responses; JSON stays acceptable implicitly —
+			// the server falls back to it when binary is disabled.
+			call.Accept = wire.BinaryContentType
 		}
-		respC, ok := wire.CodecForContentType(respCT)
+		if token != "" {
+			call.Header = map[string]string{wire.ExecuteTokenHeader: token}
+		}
+		t.requests.Add(1)
+		t.bytesOut.Add(int64(len(payload)))
+		rep, err := t.c.Exchange(ctx, call)
+		if err != nil {
+			return t.unreachable(err)
+		}
+		t.bytesIn.Add(int64(len(rep.Body)))
+		switch {
+		case rep.Status == http.StatusUnsupportedMediaType && c.Name() != "json":
+			t.downgraded.Store(true)
+			continue
+		case rep.Status != http.StatusOK:
+			return t.classify(rep)
+		}
+		respC, ok := wire.CodecForContentType(rep.Header.Get("Content-Type"))
 		if !ok {
 			t.unavailableCount.Add(1)
-			return fmt.Errorf("%w: response in unknown content type %q", ErrUnavailable, respCT)
+			return fmt.Errorf("%w: response in unknown content type %q", ErrUnavailable, rep.Header.Get("Content-Type"))
 		}
-		if err := decode(respC, raw); err != nil {
+		if err := decode(respC, rep.Body); err != nil {
 			t.unavailableCount.Add(1)
 			return fmt.Errorf("%w: malformed response: %v", ErrUnavailable, err)
 		}
 		return nil
 	}
-}
-
-// roundTrip runs one data-path exchange: the RequestTimeout backstop,
-// the codec's Accept ask, byte accounting, and classification of every
-// non-want status onto the pipeline's error taxonomy. It returns the
-// body and its Content-Type on wantStatus; contentType may be "" for
-// bodyless requests, seq "" for anything but a streamed chunk.
-func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType, seq string, payload []byte, wantStatus int) ([]byte, string, error) {
-	accept := ""
-	if t.wireCodec().Name() == "binary" {
-		// Ask for binary responses; JSON stays acceptable implicitly —
-		// the server falls back to it when binary is disabled.
-		accept = wire.BinaryContentType
-	}
-	t.requests.Add(1)
-	t.bytesOut.Add(int64(len(payload)))
-	call := Call{Method: method, Path: path, ContentType: contentType, Accept: accept, Body: payload,
-		ClientID: t.opts.ClientID, Backstop: t.opts.RequestTimeout}
-	if seq != "" {
-		call.Header = map[string]string{wire.ChunkSeqHeader: seq}
-	}
-	rep, err := t.c.Exchange(ctx, call)
-	if err != nil {
-		return nil, "", t.unreachable(err)
-	}
-	t.bytesIn.Add(int64(len(rep.Body)))
-	if rep.Status == wantStatus {
-		return rep.Body, rep.Header.Get("Content-Type"), nil
-	}
-	// Negotiation and streamed-execute outcomes the caller handles
-	// structurally, ahead of the generic taxonomy.
-	switch {
-	case rep.Status == http.StatusUnsupportedMediaType:
-		return nil, "", fmt.Errorf("%w: %s", errUnsupportedCodec, strings.TrimSpace(string(rep.Body)))
-	case rep.Status == http.StatusNotFound && bytes.Contains(rep.Body, []byte(`"`+wire.CodeUnknownExecution+`"`)):
-		return nil, "", errUnknownExecution
-	}
-	return nil, "", t.classify(rep)
 }
 
 // unreachable classifies a failed exchange. The caller's context

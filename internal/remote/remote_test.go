@@ -305,65 +305,6 @@ func TestMaxBatchFlushesEarly(t *testing.T) {
 	}
 }
 
-func TestExecuteWorkloadChunksAtWireCap(t *testing.T) {
-	var reqs atomic.Int64
-	var total atomic.Int64
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Add(1)
-		c, ok := wire.CodecForContentType(r.Header.Get("Content-Type"))
-		if !ok {
-			t.Errorf("unknown content type %q", r.Header.Get("Content-Type"))
-			return
-		}
-		raw, err := io.ReadAll(r.Body)
-		if err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		req, err := c.DecodeExecuteRequest(raw)
-		if err != nil {
-			t.Errorf("decode: %v", err)
-			return
-		}
-		if len(req.Queries) > wire.MaxBatch {
-			t.Errorf("chunk of %d queries exceeds wire cap %d", len(req.Queries), wire.MaxBatch)
-		}
-		total.Add(int64(len(req.Queries)))
-		blob, _ := c.EncodeExecuteResponse(&wire.ExecuteResponse{V: wire.Version, Executed: len(req.Queries)})
-		w.Header().Set("Content-Type", c.ContentType())
-		w.Write(blob)
-	}))
-	defer hs.Close()
-	rt := newTarget(t, hs.URL, remote.Options{})
-
-	n := wire.MaxBatch + 50
-	qs := make([]*query.Query, n)
-	cards := make([]float64, n)
-	for i := range qs {
-		qs[i] = testQuery()
-		cards[i] = float64(i)
-	}
-	if err := rt.ExecuteWorkload(context.Background(), qs, cards); err != nil {
-		t.Fatal(err)
-	}
-	if got := reqs.Load(); got != 2 {
-		t.Errorf("%d wire requests, want 2", got)
-	}
-	if got := total.Load(); got != int64(n) {
-		t.Errorf("%d queries crossed, want %d", got, n)
-	}
-
-	// Length mismatch is a permanent, client-side error: nothing sent.
-	before := reqs.Load()
-	err := rt.ExecuteWorkload(context.Background(), qs[:2], cards[:1])
-	if !errors.Is(err, ce.ErrInvalidQuery) {
-		t.Errorf("mismatch err %v, want ErrInvalidQuery", err)
-	}
-	if reqs.Load() != before {
-		t.Error("mismatched workload still reached the wire")
-	}
-}
-
 func TestStatsCountTraffic(t *testing.T) {
 	hs, _, _ := echoServer(t, 3)
 	rt := newTarget(t, hs.URL, remote.Options{CoalesceWindow: 0})

@@ -30,7 +30,7 @@ type backend struct {
 	up  atomic.Bool
 
 	// client carries all traffic to this backend: proxied calls, journal
-	// replay, stream re-opens, health probes and, through admin,
+	// replay, health probes and, through admin,
 	// provisioning, listing and deleting tenants. Its transport books
 	// every outcome into the breaker (see recordingTransport).
 	client *remote.Client

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,10 +18,18 @@ import (
 // row reach a FailThreshold of 2 and mark the backend down; with a
 // success booked in between they never would.
 func TestBodyReadFailureBooksOneFailure(t *testing.T) {
+	var probes atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.URL.Path == "/healthz":
+		case r.URL.Path == "/healthz" && probes.Add(1) == 1:
 			w.Write([]byte(`{"status":"ok"}`)) //nolint:errcheck
+		case r.URL.Path == "/healthz", r.URL.Path == "/v1/targets" && r.Method == http.MethodGet:
+			// Only the boot probe answers. The health loop's first probe
+			// and the listing the router sends once the backend is up would
+			// each book a success, which between the two broken estimates
+			// resets the failure count. Held open, they end with their
+			// probe timeout, after the assertions.
+			<-r.Context().Done()
 		case r.URL.Path == "/v1/targets":
 			json.NewEncoder(w).Encode(wire.CreateTargetResponse{V: wire.Version, //nolint:errcheck
 				Target: wire.TargetInfo{TargetSpec: wire.TargetSpec{ID: "t"}, State: "ready"}})
@@ -38,7 +47,8 @@ func TestBodyReadFailureBooksOneFailure(t *testing.T) {
 	}))
 	defer hs.Close()
 	// One boot probe, then none: only the proxied calls are booked.
-	rt, err := router.New(router.Config{Backends: []string{hs.URL}, FailThreshold: 2, HealthInterval: time.Hour})
+	rt, err := router.New(router.Config{Backends: []string{hs.URL}, FailThreshold: 2, HealthInterval: time.Hour,
+		ProbeTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

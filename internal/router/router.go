@@ -16,14 +16,24 @@
 // the tenant answer 503 + Retry-After, which the retry layer in
 // internal/remote + internal/resilience rides through.
 //
-// Exactly-once journaling: an execute body is appended to the journal
-// only after the hosting backend acked it with 200, under a per-tenant
-// lock held across send→ack→append. In the crash case this is exact —
-// an unacked in-flight execute is not journaled AND the dead backend's
-// state is discarded wholesale, so the client's retry applies the batch
-// once to the rebuilt world. (A transport glitch on a *healthy* backend
-// can still double-apply on retry, as with any at-least-once HTTP call;
-// the bit-exactness contract covers the crash-failover path.)
+// Exactly-once journaling: an execute body is appended to the journal,
+// with its X-Pace-Execute-Token, only after the hosting backend acked it
+// with 200, under a per-tenant lock held across send→ack→append. A
+// client retries an execute under the token of the original call, so a
+// lost ack never applies a workload twice:
+//   - the backend died mid-execute: the execute is not journaled and its
+//     effect died with the backend, so the retry applies it once to the
+//     rebuilt world;
+//   - the backend applied it but the router never got the ack: the
+//     backend remembers the token and acks the retry without a retrain;
+//   - the router journaled it but the client never got the ack: the
+//     router answers the retry with the journaled ack, forwarding
+//     nothing.
+//
+// Journal replay re-sends each token, so a rebuilt or revived backend
+// knows the tokens it last applied, as the original did. An execute
+// without a token is journaled and forwarded as is, and may apply twice
+// on such a retry.
 //
 // Admission hardening mirrors paced's: a fleet-wide tenant cap and
 // per-client provisioning quotas answer 429 quota_exceeded on POST
@@ -144,14 +154,12 @@ func (c Config) withDefaults() Config {
 
 // journalEntry is one acked execute body: the bytes exactly as the
 // client sent them plus the Content-Type they arrived in, so failover
-// replay re-sends binary frames as binary and JSON as JSON.
+// replay re-sends binary frames as binary and JSON as JSON, and the
+// execute's token ("" if it carried none).
 type journalEntry struct {
 	contentType string
+	token       string
 	body        []byte
-	// stream marks a journaled streamed-execute chunk (vs a synchronous
-	// execute body) — replaying one counts toward the stream-replay
-	// metric.
-	stream bool
 }
 
 // entry is the router's authoritative record of one tenant: where it
@@ -169,19 +177,15 @@ type entry struct {
 	lastActive atomic.Int64 // UnixNano of the last request touching this tenant
 
 	// execMu serializes the execute send→ack→journal-append critical
-	// section and guards journal and streams. Rebuild snapshots the
+	// section and guards journal and acks. Rebuild snapshots the
 	// journal under it but replays without it, so waiting executes see a
 	// quick 503 (retryable) instead of blocking past their deadline.
 	execMu  sync.Mutex
 	journal []journalEntry
-	// streams records, per streamed-execute token, the chunk seqs whose
-	// bodies are already journaled. A journaled (token, seq) resubmitted
-	// after a failover is acked 202 without forwarding — the replay
-	// already applied it — which is what keeps streamed retrains
-	// exactly-once across backend deaths. Kept until the tenant is
-	// deleted (a deleted seq set would let a whole-stream retry
-	// double-apply).
-	streams map[string]map[int64]bool
+	// acks maps every journaled token to the backend's ack of it. A
+	// retry of a journaled execute is answered from here, never
+	// forwarded, for as long as the journal lives.
+	acks map[string]*remote.Reply
 }
 
 func (e *entry) touch() { e.lastActive.Store(time.Now().UnixNano()) }
@@ -204,19 +208,15 @@ type Router struct {
 	bg context.Context
 
 	// All nil-safe no-ops without telemetry.
-	mFailover       *obs.Counter
-	mReprovision    *obs.Counter
-	mReprovLatency  *obs.Histogram
-	mEvicted        *obs.Counter
-	mRevived        *obs.Counter
-	mQuotaDenied    *obs.Counter
-	mUnknownTarget  *obs.Counter
-	mAdminReqs      *obs.Counter
-	mTenants        *obs.Gauge
-	mStreamOpens    *obs.Counter
-	mStreamFwd      *obs.Counter
-	mStreamDedup    *obs.Counter
-	mStreamReplayed *obs.Counter
+	mFailover      *obs.Counter
+	mReprovision   *obs.Counter
+	mReprovLatency *obs.Histogram
+	mEvicted       *obs.Counter
+	mRevived       *obs.Counter
+	mQuotaDenied   *obs.Counter
+	mUnknownTarget *obs.Counter
+	mAdminReqs     *obs.Counter
+	mTenants       *obs.Gauge
 }
 
 // New builds the router, probes every backend once synchronously (so
@@ -277,12 +277,8 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	rt.core.MountData(httpserve.DataRoutes{
-		Estimate:        func(w http.ResponseWriter, r *http.Request, id string) { rt.handleData(w, r, id, false) },
-		Execute:         func(w http.ResponseWriter, r *http.Request, id string) { rt.handleData(w, r, id, true) },
-		OpenExecution:   rt.handleOpenExecution,
-		ExecutionChunk:  rt.handleExecutionChunk,
-		ExecutionStatus: rt.handleExecutionStatus,
-		ExecutionDelete: rt.handleExecutionDelete,
+		Estimate: func(w http.ResponseWriter, r *http.Request, id string) { rt.handleData(w, r, id, false) },
+		Execute:  func(w http.ResponseWriter, r *http.Request, id string) { rt.handleData(w, r, id, true) },
 	})
 	rt.core.HandleFunc("GET /v1/targets/{id}/healthz", rt.handleTenantHealthz)
 	rt.core.HandleFunc("POST /v1/targets", rt.handleCreate)
@@ -321,10 +317,6 @@ func (rt *Router) instrument(reg *obs.Registry) {
 	rt.mUnknownTarget = reg.Counter("router_unknown_target_total")
 	rt.mAdminReqs = reg.Counter("router_admin_requests_total")
 	rt.mTenants = reg.Gauge("router_tenants")
-	rt.mStreamOpens = reg.Counter("router_stream_opens_total")
-	rt.mStreamFwd = reg.Counter("router_stream_chunks_forwarded_total")
-	rt.mStreamDedup = reg.Counter("router_stream_chunks_deduped_total")
-	rt.mStreamReplayed = reg.Counter("router_stream_chunks_replayed_total")
 }
 
 // Handler exposes the router mux (for httptest or custom listeners).
@@ -408,22 +400,28 @@ func (rt *Router) resolveData(w http.ResponseWriter, r *http.Request, id string)
 }
 
 // relay is the proxied form of a data-path POST: the body under the
-// client's identity, with the codec headers it arrived with — its
+// client's identity, with the headers it arrived with — its
 // Content-Type (JSON when absent, the v1 behaviour, so journal entries
-// always carry an explicit codec) and its Accept ask, absent if absent.
+// always carry an explicit codec), its Accept ask and its execute
+// token, each absent if absent.
 func relay(r *http.Request, path string, body []byte, client string) remote.Call {
 	ct := r.Header.Get("Content-Type")
 	if ct == "" {
 		ct = wire.JSONContentType
 	}
-	return remote.Call{Method: http.MethodPost, Path: path, ContentType: ct, Accept: r.Header.Get("Accept"),
+	call := remote.Call{Method: http.MethodPost, Path: path, ContentType: ct, Accept: r.Header.Get("Accept"),
 		Body: body, ClientID: client}
+	if token := r.Header.Get(wire.ExecuteTokenHeader); token != "" {
+		call.Header = map[string]string{wire.ExecuteTokenHeader: token}
+	}
+	return call
 }
 
 // handleData proxies one estimate or execute to the tenant's backend,
 // relaying the negotiated codec untouched — the router never decodes
 // data-path bodies. Execute bodies are journaled on ack (with their
-// Content-Type) so a failover can replay them.
+// Content-Type and token) so a failover can replay them, and a retry of
+// a journaled token is answered with its journaled ack.
 func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, exec bool) {
 	e, client, ok := rt.resolveData(w, r, id)
 	if !ok {
@@ -456,8 +454,13 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 	// Execute: hold the journal lock across send→ack→append so the
 	// journal order IS the apply order, then re-check placement — a
 	// failover may have started while we queued on the lock.
+	token := call.Header[wire.ExecuteTokenHeader]
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
+	if ack, ok := e.acks[token]; ok {
+		rt.passthrough(w, ack) // a retry of an execute already journaled
+		return
+	}
 	rt.mu.Lock()
 	if e.state != StateReady || e.backend == nil || !e.backend.up.Load() {
 		rt.mu.Unlock()
@@ -471,7 +474,13 @@ func (rt *Router) handleData(w http.ResponseWriter, r *http.Request, id string, 
 		return
 	}
 	if rep.Status == http.StatusOK {
-		e.journal = append(e.journal, journalEntry{contentType: call.ContentType, body: body})
+		e.journal = append(e.journal, journalEntry{contentType: call.ContentType, token: token, body: body})
+		if token != "" {
+			if e.acks == nil {
+				e.acks = map[string]*remote.Reply{}
+			}
+			e.acks[token] = rep
+		}
 	}
 	rt.passthrough(w, rep)
 }
@@ -790,9 +799,7 @@ func (rt *Router) rebuild(id string) {
 // provision creates e's world on b through the backend's admin client
 // and replays the journal. The journal cannot grow underneath it:
 // executes are rejected (503, retryable) while the entry is rebuilding,
-// so the snapshot is complete. Streamed chunks sit in the journal like
-// plain executes and replay through the synchronous path — apply order
-// is journal order either way.
+// so the snapshot is complete.
 func (rt *Router) provision(parent context.Context, e *entry, b *backend) error {
 	e.execMu.Lock()
 	journal := append([]journalEntry(nil), e.journal...)
@@ -816,19 +823,17 @@ func (rt *Router) provision(parent context.Context, e *entry, b *backend) error 
 		if err := rt.replayExecute(jctx, b, e.spec.ID, je); err != nil {
 			return err
 		}
-		if je.stream {
-			rt.mStreamReplayed.Inc()
-		}
 	}
 	return nil
 }
 
 // replayExecute re-applies one journaled execute body in the codec it
-// was journaled in, riding out admission sheds (429/503 + Retry-After)
-// — a freshly built tenant can still rate-limit the router's replay
-// identity.
+// was journaled in, under its token, riding out admission sheds
+// (429/503 + Retry-After) — a freshly built tenant can still rate-limit
+// the router's replay identity.
 func (rt *Router) replayExecute(ctx context.Context, b *backend, id string, je journalEntry) error {
-	call := remote.Call{Method: http.MethodPost, Path: "/v1/targets/" + id + "/execute", ContentType: je.contentType, Body: je.body}
+	call := remote.Call{Method: http.MethodPost, Path: "/v1/targets/" + id + "/execute", ContentType: je.contentType,
+		Header: map[string]string{wire.ExecuteTokenHeader: je.token}, Body: je.body}
 	for {
 		rep, err := b.client.Exchange(ctx, call)
 		if err != nil {

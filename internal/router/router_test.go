@@ -46,9 +46,13 @@ func openQuery() wire.Query {
 // its execute history: sum' = sum*3 + card, folded per card. Two worlds
 // answer bit-identical estimates iff they absorbed the same executes in
 // the same order — exactly the property journal replay must restore.
+// execs counts ExecuteWorkload calls (retrains); gate, when set, can
+// park one execute.
 type seqTarget struct {
-	mu  sync.Mutex
-	sum float64
+	mu    sync.Mutex
+	sum   float64
+	execs int
+	gate  *execGate
 }
 
 func (s *seqTarget) EstimateContext(_ context.Context, q *query.Query) (float64, error) {
@@ -58,8 +62,10 @@ func (s *seqTarget) EstimateContext(_ context.Context, q *query.Query) (float64,
 }
 
 func (s *seqTarget) ExecuteWorkload(_ context.Context, _ []*query.Query, cards []float64) error {
+	s.gate.hold()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.execs++
 	for _, c := range cards {
 		s.sum = math.Mod(s.sum*3+c, 1e9)
 	}
@@ -81,9 +87,16 @@ type fleet struct {
 
 func newFleet(t *testing.T, n int, rcfg router.Config) *fleet {
 	t.Helper()
+	return newFleetOf(t, n, rcfg, seqFactory)
+}
+
+// newFleetOf is newFleet with the backends building worlds through
+// factory.
+func newFleetOf(t *testing.T, n int, rcfg router.Config, factory tenant.Factory) *fleet {
+	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
-		cfg := targetserver.Config{Factory: seqFactory}
+		cfg := targetserver.Config{Factory: factory}
 		reg := tenant.NewRegistry(cfg.Factory, cfg.TenantConfig())
 		srv := targetserver.NewMulti(reg, cfg)
 		addr, err := srv.Start("127.0.0.1:0")
@@ -112,6 +125,10 @@ func newFleet(t *testing.T, n int, rcfg router.Config) *fleet {
 	f.url = "http://" + addr
 	t.Cleanup(func() {
 		rt.Close() //nolint:errcheck
+		// The router dials backends over the shared default transport; a
+		// connection it dialed but never used would hold a backend's
+		// shutdown for seconds.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		for _, srv := range f.servers {
 			srv.Close() //nolint:errcheck // killed members error; that's fine
 		}

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"pace/internal/targetserver"
 	"pace/internal/wire"
@@ -185,146 +183,66 @@ func TestLegacyAliasesCarryDeprecation(t *testing.T) {
 	}
 }
 
-func openExecution(t *testing.T, base, token string) *http.Response {
+// executeRaw posts one binary execute of a single query with the given
+// card, under token ("" sends no token header).
+func executeRaw(t *testing.T, base, token string, card float64) (int, []byte) {
 	t.Helper()
-	blob, err := json.Marshal(wire.OpenExecutionRequest{V: wire.Version, Token: token})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return postRaw(t, base+"/v1/targets/default/executions", wire.JSONContentType, "", blob, nil)
-}
-
-func pollExecution(t *testing.T, base, token string) wire.ExecutionResponse {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/targets/default/executions/" + token)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var er wire.ExecutionResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if er.State != wire.ExecutionRunning || time.Now().After(deadline) {
-			return er
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestStreamedExecuteEndToEnd walks the whole protocol over HTTP with
-// the binary codec: open, chunks (one resubmitted), poll to done,
-// delete — and checks the model saw each chunk exactly once, in order.
-func TestStreamedExecuteEndToEnd(t *testing.T) {
-	bb := &gateTarget{}
-	_, hs := newTestServer(t, bb, targetserver.Config{})
-	const token = "e2e-stream-1"
-
-	if resp := openExecution(t, hs.URL, token); resp.StatusCode != http.StatusOK {
-		t.Fatalf("open: status %d: %s", resp.StatusCode, readAll(t, resp))
-	} else {
-		readAll(t, resp)
-	}
-
-	chunk := func(seq int64, card float64) *http.Response {
-		blob, err := wire.Binary.EncodeExecuteRequest(&wire.ExecuteRequest{
-			V: wire.Version, Queries: []wire.Query{openQuery()}, Cards: wire.FromFloats([]float64{card}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return postRaw(t, hs.URL+"/v1/targets/default/executions/"+token,
-			wire.BinaryContentType, "", blob, map[string]string{
-				wire.ChunkSeqHeader: strconv.FormatInt(seq, 10),
-			})
-	}
-	for seq, card := range []float64{11, 22, 33} {
-		resp := chunk(int64(seq), card)
-		raw := readAll(t, resp)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("chunk %d: status %d: %s", seq, resp.StatusCode, raw)
-		}
-	}
-	// Resubmit chunk 1 (a retry after a lost ack): 202 again, no re-apply.
-	resp := chunk(1, 22)
-	readAll(t, resp)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("duplicate chunk: status %d", resp.StatusCode)
-	}
-
-	er := pollExecution(t, hs.URL, token)
-	if er.State != wire.ExecutionDone || er.Applied != 3 || er.Queries != 3 {
-		t.Fatalf("final status %+v, want done with 3 applied chunks", er)
-	}
-	bb.mu.Lock()
-	got := append([][]float64(nil), bb.executed...)
-	bb.mu.Unlock()
-	if len(got) != 3 || got[0][0] != 11 || got[1][0] != 22 || got[2][0] != 33 {
-		t.Fatalf("model saw %v, want the three chunks once each, in order", got)
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/targets/default/executions/"+token, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readAll(t, dresp)
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("delete: status %d", dresp.StatusCode)
-	}
-	gresp, err := http.Get(hs.URL + "/v1/targets/default/executions/" + token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := readAll(t, gresp)
-	if gresp.StatusCode != http.StatusNotFound || !bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {
-		t.Fatalf("status after delete: %d %s, want 404 %s", gresp.StatusCode, raw, wire.CodeUnknownExecution)
-	}
-}
-
-// TestStreamedExecuteRejections pins the protocol's edges: chunks for
-// unknown tokens, missing/bad sequence headers, invalid tokens on open.
-func TestStreamedExecuteRejections(t *testing.T) {
-	_, hs := newTestServer(t, &gateTarget{}, targetserver.Config{})
-	blob, err := wire.JSON.EncodeExecuteRequest(&wire.ExecuteRequest{
-		V: wire.Version, Queries: []wire.Query{openQuery()}, Cards: wire.FromFloats([]float64{1}),
+	blob, err := wire.Binary.EncodeExecuteRequest(&wire.ExecuteRequest{
+		V: wire.Version, Queries: []wire.Query{openQuery()}, Cards: wire.FromFloats([]float64{card}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp := postRaw(t, base+"/v1/targets/default/execute", wire.BinaryContentType, "", blob,
+		map[string]string{wire.ExecuteTokenHeader: token})
+	return resp.StatusCode, readAll(t, resp)
+}
 
-	resp := postRaw(t, hs.URL+"/v1/targets/default/executions/never-opened",
-		wire.JSONContentType, "", blob, map[string]string{wire.ChunkSeqHeader: "0"})
-	raw := readAll(t, resp)
-	if resp.StatusCode != http.StatusNotFound || !bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {
-		t.Fatalf("unknown token: %d %s, want 404 %s", resp.StatusCode, raw, wire.CodeUnknownExecution)
-	}
-
-	if oresp := openExecution(t, hs.URL, "tok-ok"); oresp.StatusCode != http.StatusOK {
-		t.Fatalf("open: %d", oresp.StatusCode)
-	} else {
-		readAll(t, oresp)
-	}
-	for name, seq := range map[string]string{"missing": "", "garbage": "abc", "negative": "-1"} {
-		hdr := map[string]string{}
-		if seq != "" {
-			hdr[wire.ChunkSeqHeader] = seq
-		}
-		resp := postRaw(t, hs.URL+"/v1/targets/default/executions/tok-ok",
-			wire.JSONContentType, "", blob, hdr)
-		readAll(t, resp)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s seq header: status %d, want 400", name, resp.StatusCode)
+// TestExecuteTokenEndToEnd walks idempotent execute over HTTP with the
+// binary codec: a resent token is acked without a retrain, a new token
+// applies, and executes without a token apply every time — the model
+// sees each applied workload once, in order.
+func TestExecuteTokenEndToEnd(t *testing.T) {
+	bb := &gateTarget{}
+	_, hs := newTestServer(t, bb, targetserver.Config{})
+	for _, step := range []struct {
+		token string
+		card  float64
+	}{{"e2e-1", 11}, {"e2e-2", 22}, {"e2e-1", 11}, {"e2e-3", 33}, {"", 44}, {"", 44}} {
+		if status, raw := executeRaw(t, hs.URL, step.token, step.card); status != http.StatusOK {
+			t.Fatalf("execute %q: status %d: %s", step.token, status, raw)
 		}
 	}
-
-	for _, bad := range []string{"", "has space", strings.Repeat("x", wire.MaxExecutionToken+1)} {
-		resp := openExecution(t, hs.URL, bad)
-		readAll(t, resp)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("open with token %q: status %d, want 400", bad, resp.StatusCode)
+	bb.mu.Lock()
+	got := append([][]float64(nil), bb.executed...)
+	bb.mu.Unlock()
+	want := []float64{11, 22, 33, 44, 44}
+	if len(got) != len(want) {
+		t.Fatalf("model saw %v, want %v", got, want)
+	}
+	for i, w := range want {
+		if got[i][0] != w {
+			t.Fatalf("model saw %v, want %v", got, want)
 		}
+	}
+}
+
+// TestExecuteTokenRejections: a malformed execute token is the client's
+// fault — 400 bad_request, and nothing applied.
+func TestExecuteTokenRejections(t *testing.T) {
+	bb := &gateTarget{}
+	_, hs := newTestServer(t, bb, targetserver.Config{})
+	for _, bad := range []string{"has space", "slash/y", strings.Repeat("x", wire.MaxExecutionToken+1)} {
+		status, raw := executeRaw(t, hs.URL, bad, 1)
+		var er wire.ErrorResponse
+		json.Unmarshal(raw, &er) //nolint:errcheck // checked through er.Code
+		if status != http.StatusBadRequest || er.Code != wire.CodeBadRequest {
+			t.Errorf("token %q: status %d code %q, want 400 %s", bad, status, er.Code, wire.CodeBadRequest)
+		}
+	}
+	bb.mu.Lock()
+	defer bb.mu.Unlock()
+	if len(bb.executed) != 0 {
+		t.Errorf("rejected executes reached the model: %v", bb.executed)
 	}
 }

@@ -9,7 +9,9 @@
 // queues, per-client token buckets and optional estimate cache:
 //
 //	POST /v1/targets/{id}/estimate   routed estimates, single or batch
-//	POST /v1/targets/{id}/execute    routed executed-query feedback
+//	POST /v1/targets/{id}/execute    routed executed-query feedback, one
+//	                                 retrain per call, idempotent per
+//	                                 X-Pace-Execute-Token
 //	GET  /v1/targets/{id}/healthz    one tenant's readiness
 //	POST /v1/targets                 provision a tenant at runtime
 //	DELETE /v1/targets/{id}          drain and destroy a tenant
@@ -38,7 +40,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"pace/internal/ce"
@@ -193,14 +194,7 @@ func NewMulti(reg *tenant.Registry, cfg Config) *Server {
 		AuthTokens: cfg.AuthTokens, RetryAfter: cfg.RetryAfter, Telemetry: cfg.Telemetry,
 		SLOTarget: cfg.SLOTarget, SLOObjective: cfg.SLOObjective,
 	})
-	s.core.MountData(httpserve.DataRoutes{
-		Estimate:        s.handleEstimate,
-		Execute:         s.handleExecute,
-		OpenExecution:   s.handleOpenExecution,
-		ExecutionChunk:  s.handleExecutionChunk,
-		ExecutionStatus: s.handleExecutionStatus,
-		ExecutionDelete: s.handleExecutionDelete,
-	})
+	s.core.MountData(httpserve.DataRoutes{Estimate: s.handleEstimate, Execute: s.handleExecute})
 	s.core.HandleFunc("GET /v1/targets/{id}/healthz", s.handleTenantHealthz)
 	s.core.HandleFunc("POST /v1/targets", s.handleCreateTarget)
 	s.core.HandleFunc("DELETE /v1/targets/{id}", s.handleDeleteTarget)
@@ -406,48 +400,47 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, id strin
 	}
 }
 
-// decodeExecuteBody shares the execute-request decode + validation
-// between the sync execute and the streamed chunk handlers.
-func (s *Server) decodeExecuteBody(w http.ResponseWriter, r *http.Request, t *tenant.Tenant, reqC wire.Codec) (*wire.ExecuteRequest, []*query.Query, bool) {
-	raw, ok := httpserve.ReadBody(w, r)
-	if !ok {
-		return nil, nil, false
-	}
-	req, err := reqC.DecodeExecuteRequest(raw)
-	if err != nil {
-		s.decodeError(w, err)
-		return nil, nil, false
-	}
-	if len(req.Queries) == 0 || len(req.Queries) > wire.MaxBatch || len(req.Queries) != len(req.Cards) {
-		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("want 1..%d queries with matching cards, got %d queries / %d cards",
-				wire.MaxBatch, len(req.Queries), len(req.Cards)))
-		return nil, nil, false
-	}
-	qs, err := wire.DecodeQueries(t.Meta(), req.Queries)
-	if err != nil {
-		t.Metrics().Invalid.Inc()
-		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
-		return nil, nil, false
-	}
-	return req, qs, true
-}
-
+// handleExecute applies one executed workload as one retrain. An
+// X-Pace-Execute-Token header makes the call idempotent: the tenant acks
+// a token it has already applied without retraining again.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, id string) {
 	reqC, respC, ok := s.dataCodecs(w, r)
 	if !ok {
+		return
+	}
+	token := r.Header.Get(wire.ExecuteTokenHeader)
+	if token != "" && !wire.ValidExecutionToken(token) {
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
+			fmt.Sprintf("%s must be 1..%d URL-safe chars", wire.ExecuteTokenHeader, wire.MaxExecutionToken))
 		return
 	}
 	t, ok := s.admitData(w, r, id)
 	if !ok {
 		return
 	}
-	req, qs, ok := s.decodeExecuteBody(w, r, t, reqC)
+	raw, ok := httpserve.ReadBody(w, r)
 	if !ok {
 		return
 	}
+	req, err := reqC.DecodeExecuteRequest(raw)
+	if err != nil {
+		s.decodeError(w, err)
+		return
+	}
+	if len(req.Queries) == 0 || len(req.Queries) > wire.MaxBatch || len(req.Queries) != len(req.Cards) {
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
+			fmt.Sprintf("want 1..%d queries with matching cards, got %d queries / %d cards",
+				wire.MaxBatch, len(req.Queries), len(req.Cards)))
+		return
+	}
+	qs, err := wire.DecodeQueries(t.Meta(), req.Queries)
+	if err != nil {
+		t.Metrics().Invalid.Inc()
+		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeInvalidQuery, err.Error())
+		return
+	}
 
-	if err := t.Execute(r.Context(), qs, wire.ToFloats(req.Cards)); err != nil {
+	if err := t.Execute(r.Context(), token, qs, wire.ToFloats(req.Cards)); err != nil {
 		s.replyError(w, t, err)
 		return
 	}
@@ -457,132 +450,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, id string
 	} else {
 		httpserve.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 	}
-}
-
-// executionResponse renders a tenant ExecutionStatus onto the wire.
-func executionResponse(st tenant.ExecutionStatus) wire.ExecutionResponse {
-	resp := wire.ExecutionResponse{
-		V:       wire.Version,
-		Token:   st.Token,
-		State:   wire.ExecutionRunning,
-		Pending: st.Pending,
-		Applied: st.Applied,
-		Queries: st.Queries,
-	}
-	switch {
-	case st.Err != nil:
-		resp.State = wire.ExecutionFailed
-		resp.Error = st.Err.Error()
-	case st.Pending == 0:
-		resp.State = wire.ExecutionDone
-	}
-	return resp
-}
-
-// handleOpenExecution opens (or idempotently re-opens) a streamed
-// execute. The token is client-supplied — content-derived on the client
-// side, so a whole-stream retry reuses it. Control plane: always JSON.
-func (s *Server) handleOpenExecution(w http.ResponseWriter, r *http.Request, id string) {
-	t, ok := s.admitData(w, r, id)
-	if !ok {
-		return
-	}
-	var req wire.OpenExecutionRequest
-	if !s.core.DecodeRequest(w, r, &req) {
-		return
-	}
-	if !wire.ValidExecutionToken(req.Token) {
-		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("execution token must be 1..%d URL-safe chars", wire.MaxExecutionToken))
-		return
-	}
-	st, err := t.OpenExecution(req.Token)
-	if err != nil {
-		s.replyExecutionError(w, t, err)
-		return
-	}
-	httpserve.WriteJSON(w, http.StatusOK, executionResponse(st))
-}
-
-// handleExecutionChunk accepts one chunk of a streamed execute, acking
-// 202 as soon as the chunk is enqueued — the retrain applies
-// asynchronously, so the client pipelines chunks. The chunk body is an
-// ExecuteRequest in the negotiated codec; the sequence number travels
-// in the X-Pace-Chunk-Seq header, and (token, seq) is the idempotency
-// key: duplicates ack 202 again without re-applying.
-func (s *Server) handleExecutionChunk(w http.ResponseWriter, r *http.Request, id, token string) {
-	reqC, _, ok := s.dataCodecs(w, r)
-	if !ok {
-		return
-	}
-	t, ok := s.admitData(w, r, id)
-	if !ok {
-		return
-	}
-	seq, err := strconv.ParseInt(r.Header.Get(wire.ChunkSeqHeader), 10, 64)
-	if err != nil || seq < 0 {
-		httpserve.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			wire.ChunkSeqHeader+" must carry the chunk's non-negative sequence number")
-		return
-	}
-	req, qs, ok := s.decodeExecuteBody(w, r, t, reqC)
-	if !ok {
-		return
-	}
-	st, err := t.SubmitChunk(r.Context(), token, seq, qs, wire.ToFloats(req.Cards))
-	if err != nil {
-		s.replyExecutionError(w, t, err)
-		return
-	}
-	httpserve.WriteJSON(w, http.StatusAccepted, executionResponse(st))
-}
-
-// handleExecutionStatus is the completion poll: 200 with the
-// execution's progress. Clients are done when all their chunks are
-// acked and State is done.
-func (s *Server) handleExecutionStatus(w http.ResponseWriter, r *http.Request, id, token string) {
-	if s.core.RefuseDraining(w) {
-		return
-	}
-	if _, ok := s.core.ClientIdentity(w, r); !ok {
-		return
-	}
-	t, ok := s.resolve(w, id)
-	if !ok {
-		return
-	}
-	st, err := t.ExecutionStatus(token)
-	if err != nil {
-		s.replyExecutionError(w, t, err)
-		return
-	}
-	httpserve.WriteJSON(w, http.StatusOK, executionResponse(st))
-}
-
-// handleExecutionDelete forgets a completed stream's dedupe state.
-func (s *Server) handleExecutionDelete(w http.ResponseWriter, r *http.Request, id, token string) {
-	if _, ok := s.core.ClientIdentity(w, r); !ok {
-		return
-	}
-	t, ok := s.resolve(w, id)
-	if !ok {
-		return
-	}
-	st, err := t.DeleteExecution(token)
-	if err != nil {
-		s.replyExecutionError(w, t, err)
-		return
-	}
-	httpserve.WriteJSON(w, http.StatusOK, executionResponse(st))
-}
-
-// replyExecutionError extends replyError with the execution taxonomy.
-func (s *Server) replyExecutionError(w http.ResponseWriter, t *tenant.Tenant, err error) {
-	if errors.Is(err, tenant.ErrUnknownExecution) {
-		httpserve.WriteError(w, http.StatusNotFound, wire.CodeUnknownExecution, err.Error())
-		return
-	}
-	s.replyError(w, t, err)
 }
 
 // handleCreateTarget provisions a tenant through the registry's Factory.

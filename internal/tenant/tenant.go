@@ -16,7 +16,9 @@
 //   - an optional LRU estimate cache keyed on query.Key, modeling a
 //     DBMS plan cache: repeated estimates answer without touching the
 //     model goroutine, and every executed (retraining) batch flushes it
-//     so a cached estimate is always bit-identical to a fresh one.
+//     so a cached estimate is always bit-identical to a fresh one;
+//   - the tokens of its last applied executes, so a client retrying an
+//     execute whose ack it lost is acked without a second retrain.
 //
 // The Registry is the concurrency-safe directory of live tenants; the
 // HTTP layer (internal/targetserver) routes /v1/targets/{id}/... onto it
@@ -166,9 +168,39 @@ type estReply struct {
 
 type execJob struct {
 	ctx   context.Context
+	token string // "" = never deduplicated
 	qs    []*query.Query
 	cards []float64
 	reply chan error // buffered(1)
+}
+
+// maxAppliedTokens bounds how many applied execute tokens a tenant
+// remembers. A retry only has to outrun the executes applied after the
+// call it repeats; 64 leaves ample room for a serial client.
+const maxAppliedTokens = 64
+
+// appliedTokens is a bounded FIFO set of applied execute tokens. Only
+// the model goroutine touches it, so it needs no lock.
+type appliedTokens struct {
+	set   map[string]bool
+	order []string // ring of len maxAppliedTokens once full
+	next  int
+}
+
+func (a *appliedTokens) has(tok string) bool { return a.set[tok] }
+
+func (a *appliedTokens) add(tok string) {
+	if a.set == nil {
+		a.set = make(map[string]bool, maxAppliedTokens)
+	}
+	if len(a.order) < maxAppliedTokens {
+		a.order = append(a.order, tok)
+	} else {
+		delete(a.set, a.order[a.next])
+		a.order[a.next] = tok
+		a.next = (a.next + 1) % maxAppliedTokens
+	}
+	a.set[tok] = true
 }
 
 // Metrics are one tenant's instruments. Every field is nil-safe (no-op
@@ -181,13 +213,11 @@ type Metrics struct {
 	Invalid, Errors       *obs.Counter
 	Batches               *obs.Counter
 	CacheHits, CacheMiss  *obs.Counter
-	// Streamed-execute accounting: chunks enqueued onto the execute
-	// queue, duplicate (token, seq) acks, chunks shed by a full queue,
-	// and whole-stream completion latency (open → last chunk applied).
-	ChunksEnq, ChunksDeduped, ChunksShed *obs.Counter
-	QueueDepth, Ready                    *obs.Gauge
-	Batch, LatencyUs                     *obs.Histogram
-	StreamSeconds                        *obs.Histogram
+	// ExecDeduped counts executes acked without a retrain because their
+	// token was already applied.
+	ExecDeduped       *obs.Counter
+	QueueDepth, Ready *obs.Gauge
+	Batch, LatencyUs  *obs.Histogram
 }
 
 // Tenant is one hosted estimator world. Create through a Registry (or
@@ -208,9 +238,9 @@ type Tenant struct {
 	draining bool
 	clients  map[string]*bucket
 
-	// execsMu guards the streamed-execute registry (execution.go).
-	execsMu sync.Mutex
-	execs   map[string]*execution
+	// applied holds the tokens of the last applied executes (model
+	// goroutine only).
+	applied appliedTokens
 
 	// lastActive is the unix-nano timestamp of the most recent Estimate
 	// or Execute call; the idle-eviction janitor reads it through IdleFor.
@@ -269,15 +299,12 @@ func (t *Tenant) instrument(reg *obs.Registry) {
 		Batches:     reg.Counter(labeled("paced_batches_total", id)),
 		CacheHits:   reg.Counter(labeled("paced_est_cache_hits_total", id)),
 		CacheMiss:   reg.Counter(labeled("paced_est_cache_misses_total", id)),
+		ExecDeduped: reg.Counter(labeled("paced_execute_deduped_total", id)),
 		QueueDepth:  reg.Gauge(labeled("paced_estimate_queue_depth", id)),
 		Ready:       reg.Gauge(labeled("paced_tenant_ready", id)),
+		Batch:       reg.Histogram(labeled("paced_batch_queries", id)),
+		LatencyUs:   reg.Histogram(labeled("paced_estimate_latency_us", id)),
 	}
-	t.m.ChunksEnq = reg.Counter(labeled("paced_stream_chunks_enqueued_total", id))
-	t.m.ChunksDeduped = reg.Counter(labeled("paced_stream_chunks_deduped_total", id))
-	t.m.ChunksShed = reg.Counter(labeled("paced_stream_chunks_shed_total", id))
-	t.m.Batch = reg.Histogram(labeled("paced_batch_queries", id))
-	t.m.LatencyUs = reg.Histogram(labeled("paced_estimate_latency_us", id))
-	t.m.StreamSeconds = reg.Histogram(labeled("paced_stream_completion_seconds", id))
 	t.m.Ready.Set(1)
 }
 
@@ -380,15 +407,21 @@ func (t *Tenant) Estimate(ctx context.Context, qs []*query.Query) ([]float64, er
 }
 
 // Execute applies an executed-workload (retraining) batch through the
-// model goroutine. The model's answers change, so the estimate cache is
-// flushed once the update applies and before Execute returns: an
-// estimate issued after an acked execute always reflects it (see
-// runExec).
-func (t *Tenant) Execute(ctx context.Context, qs []*query.Query, cards []float64) error {
+// model goroutine as one retrain. The model's answers change, so the
+// estimate cache is flushed once the update applies and before Execute
+// returns: an estimate issued after an acked execute always reflects it
+// (see runExec).
+//
+// token makes the call idempotent: an execute whose token the tenant
+// has already applied is acked without retraining again. An empty
+// token is never deduplicated. A queued job runs even if ctx ends
+// before the model goroutine reaches it, so a caller that timed out
+// may find its workload applied, and its retry (same token) acked.
+func (t *Tenant) Execute(ctx context.Context, token string, qs []*query.Query, cards []float64) error {
 	t.lastActive.Store(time.Now().UnixNano())
 	t.m.ExecReqs.Inc()
 	t.m.ExecQueries.Add(int64(len(qs)))
-	job := &execJob{ctx: ctx, qs: qs, cards: cards, reply: make(chan error, 1)}
+	job := &execJob{ctx: context.WithoutCancel(ctx), token: token, qs: qs, cards: cards, reply: make(chan error, 1)}
 	select {
 	case t.execQ <- job:
 	default:
@@ -519,16 +552,22 @@ func (t *Tenant) evalJob(j *estJob) estReply {
 // flush suffices because estimates are evaluated on this goroutine too:
 // an estimate that read the cache generation before the flush has its
 // put dropped, and one that read it after is evaluated on the retrained
-// model.
+// model. A token already applied is acked with neither a retrain nor a
+// flush; a token is recorded only once its retrain succeeded, so a
+// failed execute can be retried.
 func (t *Tenant) runExec(j *execJob) {
-	if err := j.ctx.Err(); err != nil {
-		j.reply <- err
+	if j.token != "" && t.applied.has(j.token) {
+		t.m.ExecDeduped.Inc()
+		j.reply <- nil
 		return
 	}
 	ctx, sp := obs.StartSpan(j.ctx, "retrain", obs.Int("queries", len(j.qs)))
 	err := t.target.ExecuteWorkload(ctx, j.qs, j.cards)
 	if t.cache != nil {
 		t.cache.flush()
+	}
+	if err == nil && j.token != "" {
+		t.applied.add(j.token)
 	}
 	j.reply <- err
 	sp.End()

@@ -88,7 +88,7 @@ func TestEstimateCacheHitsAreBitExactAndFlushOnExecute(t *testing.T) {
 	}
 
 	// A retrain changes the model's answers; the flush must expose that.
-	if err := tn.Execute(ctx, qs, []float64{42}); err != nil {
+	if err := tn.Execute(ctx, "", qs, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
 	third, err := tn.Estimate(ctx, qs)
@@ -561,7 +561,7 @@ func TestReadYourWritesAfterExecute(t *testing.T) {
 	defer func() { close(stop); wg.Wait() }()
 
 	for round := 1; round <= 6000; round++ {
-		if err := tn.Execute(traced, qs, []float64{1}); err != nil {
+		if err := tn.Execute(traced, "", qs, []float64{1}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := tn.Estimate(context.Background(), qs)

@@ -206,9 +206,6 @@ const (
 	// CodeUnsupportedMedia marks a Content-Type the server does not
 	// speak (415). Clients downgrade to JSON and resend.
 	CodeUnsupportedMedia = "unsupported_media"
-	// CodeUnknownExecution marks a streamed-execute token the server
-	// does not know (404) — never opened, or already deleted.
-	CodeUnknownExecution = "unknown_execution"
 )
 
 // ErrorResponse is the body of every non-2xx reply.
@@ -307,12 +304,13 @@ type FleetStatusResponse struct {
 // tokens derive the identity from the bearer token instead.
 const ClientHeader = "X-Pace-Client"
 
-// ChunkSeqHeader carries the 0-based sequence number of one streamed
-// execute chunk (POST /v1/targets/{id}/executions/{token}). The
-// (token, seq) pair is the idempotency key: resubmitting an
-// already-acked chunk — after a timeout, or a whole-stream retry
-// through a failover — is acked again without re-applying it.
-const ChunkSeqHeader = "X-Pace-Chunk-Seq"
+// ExecuteTokenHeader carries an execute's idempotency token. A tenant
+// acks an execute whose token it has already applied without
+// retraining again, so a whole-call retry after a lost ack applies the
+// workload once. Clients mint a fresh token per logical call and reuse
+// it only for that call's retries; a request without the header is
+// never deduplicated.
+const ExecuteTokenHeader = "X-Pace-Execute-Token"
 
 // TraceHeader carries distributed-trace context on every data-path
 // request, in W3C traceparent form: 00-<32 hex trace>-<16 hex span>-01.
@@ -322,23 +320,10 @@ const ChunkSeqHeader = "X-Pace-Chunk-Seq"
 // Requests without the header are served normally but untraced.
 const TraceHeader = "X-Pace-Trace"
 
-// Execution states reported by ExecutionResponse.
-const (
-	// ExecutionRunning: chunks are enqueued and retraining.
-	ExecutionRunning = "running"
-	// ExecutionDone: every acked chunk has applied and none failed. The
-	// client-side completion condition is: all chunks acked AND the
-	// polled state is done.
-	ExecutionDone = "done"
-	// ExecutionFailed: a chunk's retrain errored; Error carries it.
-	// Acks keep deduplicating, but the stream cannot succeed.
-	ExecutionFailed = "failed"
-)
-
-// MaxExecutionToken bounds a client-supplied execution token.
+// MaxExecutionToken bounds a client-supplied execute token.
 const MaxExecutionToken = 128
 
-// ValidExecutionToken reports whether a token is usable in a route:
+// ValidExecutionToken reports whether an execute token is well formed:
 // non-empty, bounded, URL-safe charset.
 func ValidExecutionToken(tok string) bool {
 	if tok == "" || len(tok) > MaxExecutionToken {
@@ -354,34 +339,6 @@ func ValidExecutionToken(tok string) bool {
 		}
 	}
 	return true
-}
-
-// OpenExecutionRequest opens (or idempotently re-opens) a streamed
-// execute: POST /v1/targets/{id}/executions. The token is
-// client-supplied — internal/remote derives it from the stream's
-// content, so a whole-stream retry reuses the token and every chunk
-// deduplicates on (token, seq).
-type OpenExecutionRequest struct {
-	V     int    `json:"v"`
-	Token string `json:"token"`
-}
-
-// ExecutionResponse reports one execution's progress. It answers the
-// open (200), every chunk ack (202 — the chunk is enqueued, not yet
-// retrained), the status poll (200) and the delete (200). Control-plane
-// messages travel as JSON regardless of the negotiated data codec.
-type ExecutionResponse struct {
-	V     int    `json:"v"`
-	Token string `json:"token"`
-	// State is running, done or failed.
-	State string `json:"state"`
-	// Pending counts chunks enqueued but not yet applied; Applied counts
-	// chunks retrained; Queries counts queries across applied chunks.
-	Pending int64 `json:"pending"`
-	Applied int64 `json:"applied"`
-	Queries int64 `json:"queries"`
-	// Error carries the first chunk failure (state failed).
-	Error string `json:"error,omitempty"`
 }
 
 // RetryAfter renders a Retry-After header value (whole seconds, min 1)

@@ -144,13 +144,12 @@ func TestIntegrationRemoteCampaignMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestIntegrationRemoteCampaignBinaryStreamingBitExact is the protocol
-// v2 acceptance run: the campaign crosses the wire on the binary codec
-// with the streamed-execute protocol (chunked uploads, async
-// completion), fault-free, and must still be bit-identical to the
-// in-process reference — the codec and the streaming pipeline cost
-// zero bits.
-func TestIntegrationRemoteCampaignBinaryStreamingBitExact(t *testing.T) {
+// TestIntegrationRemoteCampaignBinarySyncBitExact is the protocol v2
+// acceptance run: the campaign crosses the wire on the binary codec,
+// its poison delivered as one synchronous execute, fault-free, and must
+// still be bit-identical to the in-process reference — the codec and
+// the tokened execute cost zero bits.
+func TestIntegrationRemoteCampaignBinarySyncBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test is slow")
 	}
@@ -181,19 +180,17 @@ func TestIntegrationRemoteCampaignBinaryStreamingBitExact(t *testing.T) {
 		Test: wRemote.Test, History: wRemote.History,
 		Config: cfgRemote, Seed: seed,
 		Remote: remote.Options{
-			Codec:         "binary",
-			StreamExecute: true,
-			StreamChunk:   64, // several chunks per poison batch
-			ClientID:      "binary-stream-acceptance",
+			Codec:    "binary",
+			ClientID: "binary-sync-acceptance",
 		},
 	}
 	resRemote, err := over.Run(context.Background())
 	if err != nil {
-		t.Fatalf("binary streaming campaign: %v", err)
+		t.Fatalf("binary campaign: %v", err)
 	}
 
 	if resLocal.SpeculatedType != resRemote.SpeculatedType {
-		t.Errorf("speculation verdict differs: %v in-process vs %v binary-streaming",
+		t.Errorf("speculation verdict differs: %v in-process vs %v binary",
 			resLocal.SpeculatedType, resRemote.SpeculatedType)
 	}
 	if len(resLocal.Objective) != len(resRemote.Objective) {
@@ -220,9 +217,9 @@ func TestIntegrationRemoteCampaignBinaryStreamingBitExact(t *testing.T) {
 	}
 
 	afterLocal, afterRemote := meanQErr(bbLocal, wLocal), meanQErr(bbRemote, wRemote)
-	t.Logf("binary+streaming q-error after attack: in-process=%.3f remote=%.3f", afterLocal, afterRemote)
+	t.Logf("binary q-error after attack: in-process=%.3f remote=%.3f", afterLocal, afterRemote)
 	if math.Float64bits(afterLocal) != math.Float64bits(afterRemote) {
-		t.Errorf("post-attack q-error differs: %v in-process vs %v binary-streaming",
+		t.Errorf("post-attack q-error differs: %v in-process vs %v binary",
 			afterLocal, afterRemote)
 	}
 }
