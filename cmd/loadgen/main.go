@@ -53,7 +53,7 @@ import (
 func main() {
 	var (
 		url         = flag.String("url", "http://127.0.0.1:8645", "paced service base URL")
-		target      = flag.String("target", "", "tenant id(s) to load, comma-separated (default: the legacy unrouted endpoints)")
+		target      = flag.String("target", "", "tenant id(s) to load, comma-separated (default: tenant \"default\")")
 		datasetName = flag.String("dataset", "dmv", "dataset the service hosts (workload source)")
 		scale       = flag.Float64("scale", 0, "dataset scale factor (0 = profile default)")
 		seed        = cli.Seed()

@@ -10,7 +10,6 @@
 //	POST /v1/targets                 provision a tenant at runtime
 //	DELETE /v1/targets/{id}          drain and destroy a tenant
 //	GET  /v1/targets                 tenant directory
-//	POST /v1/estimate | /v1/execute  legacy wire, aliasing tenant "default"
 //	GET  /healthz                    per-tenant readiness (503 while draining)
 //	GET  /metrics                    tenant-labeled metrics (with -metrics)
 //
@@ -61,7 +60,6 @@ func main() {
 		authTokens  = flag.String("auth-tokens", "", "bearer-token file (one \"token client-name\" per line); when set, client identity is token-derived and unauthenticated requests get 401")
 
 		maxBatch    = flag.Int("max-batch", 64, "micro-batch size cap in queries")
-		batchWindow = flag.Duration("batch-window", 200*time.Microsecond, "micro-batch gather window")
 		queueDepth  = flag.Int("queue-depth", 128, "estimate admission queue capacity (full = shed 429)")
 		execDepth   = flag.Int("exec-queue-depth", 8, "execute (retraining) queue capacity")
 		rate        = flag.Float64("rate", 0, "per-client admitted requests per second per tenant (0 = unlimited)")
@@ -129,7 +127,6 @@ func main() {
 
 	cfg := targetserver.Config{
 		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWindow,
 		QueueDepth:     *queueDepth,
 		ExecQueueDepth: *execDepth,
 		RatePerSec:     *rate,

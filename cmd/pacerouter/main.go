@@ -6,7 +6,6 @@
 //	POST /v1/targets/{id}/execute    proxied + journaled for replay
 //	DELETE /v1/targets/{id}          destroy everywhere
 //	GET  /v1/targets | /v1/fleet     directory | fleet topology
-//	POST /v1/estimate | /v1/execute  legacy wire, aliasing tenant "default"
 //	GET  /healthz                    router + per-tenant readiness
 //	GET  /metrics                    router_* families (with -metrics)
 //

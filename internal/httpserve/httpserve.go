@@ -6,9 +6,8 @@
 //   - the data-path preamble: X-Pace-Trace extraction, the srv_* or
 //     proxy_* span, and per-(route, tenant) RED metrics with the
 //     tenant's SLO burn;
-//   - the four data routes both servers mount the same way (MountData):
-//     the routed estimate and execute and their legacy unrouted
-//     /v1/estimate|execute aliases;
+//   - the data routes both servers mount the same way (MountData):
+//     the routed estimate and execute;
 //   - bearer-token auth and the client identity it derives;
 //   - drain state, the listener, background loops and the idle janitor;
 //   - error, JSON and shed replies, bounded body reads and versioned
@@ -25,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"sync"
@@ -35,8 +33,8 @@ import (
 	"pace/internal/wire"
 )
 
-// DefaultTenant is the id the legacy unrouted /v1/estimate|execute
-// aliases route to.
+// DefaultTenant is the tenant a single-target server hosts, and the one
+// a client addresses when it names none.
 const DefaultTenant = "default"
 
 // Config holds the values that tell the two servers apart.
@@ -60,9 +58,6 @@ type Config struct {
 	ShedStatus int
 	// CountShed counts Shed replies in <Metrics>_shed_total.
 	CountShed bool
-	// DeprecateLegacy stamps every hit on the legacy unrouted aliases
-	// with Deprecation and successor Link headers, and logs the first.
-	DeprecateLegacy bool
 	// AuthTokens, when non-empty, maps bearer tokens to client names and
 	// makes ClientIdentity demand one.
 	AuthTokens map[string]string
@@ -90,8 +85,6 @@ type Server struct {
 	httpSrv  *http.Server
 	done     chan struct{} // closed when Shutdown begins
 	loops    sync.WaitGroup
-
-	legacyOnce sync.Once
 
 	// All nil-safe no-ops without a registry.
 	mUnauthorized *obs.Counter
@@ -248,46 +241,18 @@ type DataRoutes struct {
 	Estimate, Execute func(w http.ResponseWriter, r *http.Request, id string)
 }
 
-// MountData registers the data routes: the routed estimate and execute,
-// and the legacy unrouted /v1/estimate|execute aliases of
-// DefaultTenant. Each is metered per (route, tenant) and spanned
-// <Span>_<route> under a traced caller.
+// MountData registers the routed data routes,
+// POST /v1/targets/{id}/estimate and /v1/targets/{id}/execute. Each is
+// metered per (route, tenant) and spanned <Span>_<route> under a traced
+// caller.
 func (s *Server) MountData(d DataRoutes) {
-	for _, rt := range []struct {
-		path, route string
-		alias       bool
-		fn          func(http.ResponseWriter, *http.Request, string)
-	}{
-		{"/v1/estimate", "estimate", true, d.Estimate},
-		{"/v1/execute", "execute", true, d.Execute},
-		{"/v1/targets/{id}/estimate", "estimate", false, d.Estimate},
-		{"/v1/targets/{id}/execute", "execute", false, d.Execute},
+	for route, fn := range map[string]func(http.ResponseWriter, *http.Request, string){
+		"estimate": d.Estimate, "execute": d.Execute,
 	} {
-		s.mux.HandleFunc("POST "+rt.path, func(w http.ResponseWriter, r *http.Request) {
-			id := r.PathValue("id")
-			if rt.alias {
-				id = DefaultTenant
-				if s.cfg.DeprecateLegacy {
-					s.deprecateLegacy(w, rt.path)
-				}
-			}
-			s.serveData(w, r, id, rt.route, rt.fn)
+		s.mux.HandleFunc("POST /v1/targets/{id}/"+route, func(w http.ResponseWriter, r *http.Request) {
+			s.serveData(w, r, r.PathValue("id"), route, fn)
 		})
 	}
-}
-
-// deprecateLegacy stamps the un-tenanted /v1/estimate|execute aliases:
-// a Deprecation response header on every hit and one log line per
-// process. The aliases route through the same handlers as
-// /v1/targets/default/... and will be removed two protocol majors after
-// v2 (see DESIGN.md, "Removal horizon").
-func (s *Server) deprecateLegacy(w http.ResponseWriter, path string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "</v1/targets/"+DefaultTenant+path[len("/v1"):]+`>; rel="successor-version"`)
-	s.legacyOnce.Do(func() {
-		log.Printf("%s: deprecated unrouted %s hit; clients should move to /v1/targets/{id}%s",
-			s.cfg.Name, path, path[len("/v1"):])
-	})
 }
 
 // serveData wraps one data-path handler with the observability

@@ -115,7 +115,7 @@ func TestRouterShutdownAnswersDraining(t *testing.T) {
 		body         any
 	}{
 		{http.MethodPost, "/v1/targets/d/estimate", est},
-		{http.MethodPost, "/v1/estimate", est},
+		{http.MethodPost, "/v1/targets/default/estimate", est},
 		{http.MethodPost, "/v1/targets", createReq("late")},
 		{http.MethodGet, "/v1/targets/d/healthz", nil},
 	} {

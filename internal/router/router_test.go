@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pace/internal/ce"
-	"pace/internal/httpserve"
 	"pace/internal/obs"
 	"pace/internal/query"
 	"pace/internal/remote"
@@ -439,28 +438,6 @@ func TestIdleEvictionRevivesBitExact(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("evicted tenant never revived")
-}
-
-// TestLegacyRoutesAliasDefault: the unrouted wire still works through
-// the router, aliasing tenant "default" — old clients keep working
-// against a fleet.
-func TestLegacyRoutesAliasDefault(t *testing.T) {
-	f := newFleet(t, 2, router.Config{})
-	if resp, _ := createTenant(t, f, httpserve.DefaultTenant, "alice"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("create default: %d", resp.StatusCode)
-	}
-	req := wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}
-	var er wire.EstimateResponse
-	resp, _ := doJSON(t, http.MethodPost, f.url+"/v1/estimate", req, &er, "tester")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy estimate: %d", resp.StatusCode)
-	}
-	ex := wire.ExecuteRequest{V: wire.Version, Queries: []wire.Query{openQuery()}, Cards: wire.FromFloats([]float64{1})}
-	var exr wire.ExecuteResponse
-	resp, _ = doJSON(t, http.MethodPost, f.url+"/v1/execute", ex, &exr, "tester")
-	if resp.StatusCode != http.StatusOK || exr.Executed != 1 {
-		t.Fatalf("legacy execute: %d executed=%d", resp.StatusCode, exr.Executed)
-	}
 }
 
 // TestAdminClientThroughRouter: remote.Admin (the programmatic client

@@ -149,40 +149,6 @@ func TestBadBinaryFrameAnswers400(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesCarryDeprecation pins satellite 2: the un-tenanted
-// v1 endpoints keep working bit-for-bit but announce their sunset; the
-// routed successor does not.
-func TestLegacyAliasesCarryDeprecation(t *testing.T) {
-	_, hs := newTestServer(t, &gateTarget{}, targetserver.Config{})
-	for _, path := range []string{"/v1/estimate", "/v1/execute"} {
-		var body any
-		if path == "/v1/estimate" {
-			body = wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}
-		} else {
-			body = wire.ExecuteRequest{V: wire.Version,
-				Queries: []wire.Query{openQuery()}, Cards: wire.FromFloats([]float64{10})}
-		}
-		resp := postJSON(t, hs.URL+path, body, "codec-test")
-		readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: no Deprecation header", path)
-		}
-		link := resp.Header.Get("Link")
-		if !strings.Contains(link, "/v1/targets/default") || !strings.Contains(link, "successor-version") {
-			t.Errorf("%s: Link header %q does not name the successor route", path, link)
-		}
-	}
-	resp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
-		wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "codec-test")
-	readAll(t, resp)
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("routed endpoint carries a Deprecation header; only the aliases are deprecated")
-	}
-}
-
 // executeRaw posts one binary execute of a single query with the given
 // card, under token ("" sends no token header).
 func executeRaw(t *testing.T, base, token string, card float64) (int, []byte) {

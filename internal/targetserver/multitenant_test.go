@@ -140,10 +140,10 @@ func TestRoutedEndpointsReachTheNamedTenant(t *testing.T) {
 		t.Errorf("tenant b estimate = %v, want %v", got, 0.25*1000)
 	}
 
-	// The legacy unrouted endpoint aliases tenant "default".
-	resp2 := postJSON(t, hs.URL+"/v1/estimate", estReq(), "")
+	// Tenant "default" answers with its own model, not b's.
+	resp2 := postJSON(t, hs.URL+"/v1/targets/default/estimate", estReq(), "")
 	if got := decodeBody[wire.EstimateResponse](t, resp2).Estimates[0].Float(); got != 0.25*10 {
-		t.Errorf("default-alias estimate = %v, want %v", got, 0.25*10)
+		t.Errorf("default estimate = %v, want %v", got, 0.25*10)
 	}
 
 	// Unknown tenants are a 404 with a machine-readable code.
@@ -236,7 +236,7 @@ func TestAuthTokensGateAndDeriveIdentity(t *testing.T) {
 	}, map[string]ce.Target{"default": &mulTarget{k: 2}})
 
 	// No token: 401 with a challenge, and the model is never consulted.
-	resp := request(t, http.MethodPost, hs.URL+"/v1/estimate", estReq(), "spoof", "")
+	resp := request(t, http.MethodPost, hs.URL+"/v1/targets/default/estimate", estReq(), "spoof", "")
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("no token: status %d, want 401", resp.StatusCode)
 	}
@@ -246,7 +246,7 @@ func TestAuthTokensGateAndDeriveIdentity(t *testing.T) {
 	if code := decodeBody[wire.ErrorResponse](t, resp).Code; code != wire.CodeUnauthorized {
 		t.Errorf("code %q, want %q", code, wire.CodeUnauthorized)
 	}
-	bad := request(t, http.MethodPost, hs.URL+"/v1/estimate", estReq(), "", "wrong")
+	bad := request(t, http.MethodPost, hs.URL+"/v1/targets/default/estimate", estReq(), "", "wrong")
 	if bad.StatusCode != http.StatusUnauthorized {
 		t.Errorf("unknown token: status %d, want 401", bad.StatusCode)
 	}
@@ -255,19 +255,19 @@ func TestAuthTokensGateAndDeriveIdentity(t *testing.T) {
 	// Alice burns her 1-token burst, then tries to dodge the rate limit by
 	// spoofing the client header. Identity is token-derived, so the bucket
 	// follows the token and she still gets 429 — while bob's token passes.
-	ok := request(t, http.MethodPost, hs.URL+"/v1/estimate", estReq(), "", "s3cret-a")
+	ok := request(t, http.MethodPost, hs.URL+"/v1/targets/default/estimate", estReq(), "", "s3cret-a")
 	if ok.StatusCode != http.StatusOK {
 		t.Fatalf("alice first call: status %d, want 200", ok.StatusCode)
 	}
 	ok.Body.Close()
-	spoofed := request(t, http.MethodPost, hs.URL+"/v1/estimate", estReq(), "someone-else", "s3cret-a")
+	spoofed := request(t, http.MethodPost, hs.URL+"/v1/targets/default/estimate", estReq(), "someone-else", "s3cret-a")
 	if spoofed.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("spoofed header on alice's token: status %d, want 429", spoofed.StatusCode)
 	}
 	if code := decodeBody[wire.ErrorResponse](t, spoofed).Code; code != wire.CodeRateLimited {
 		t.Errorf("code %q, want %q", code, wire.CodeRateLimited)
 	}
-	bobResp := request(t, http.MethodPost, hs.URL+"/v1/estimate", estReq(), "", "s3cret-b")
+	bobResp := request(t, http.MethodPost, hs.URL+"/v1/targets/default/estimate", estReq(), "", "s3cret-b")
 	if bobResp.StatusCode != http.StatusOK {
 		t.Errorf("bob: status %d, want 200", bobResp.StatusCode)
 	}
@@ -367,7 +367,7 @@ func TestShutdownDrainsEveryTenant(t *testing.T) {
 		"a": {gate: make(chan struct{}), entered: make(chan struct{}, 1)},
 		"b": {gate: make(chan struct{}), entered: make(chan struct{}, 1)},
 	}
-	srv, hs := newMultiServer(t, targetserver.Config{BatchWindow: time.Microsecond},
+	srv, hs := newMultiServer(t, targetserver.Config{},
 		map[string]ce.Target{"a": targets["a"], "b": targets["b"]})
 
 	exec := wire.ExecuteRequest{

@@ -16,9 +16,6 @@
 //	POST /v1/targets                 provision a tenant at runtime
 //	DELETE /v1/targets/{id}          drain and destroy a tenant
 //	GET  /v1/targets                 directory listing
-//	POST /v1/estimate | /v1/execute  legacy unrouted wire, aliasing the
-//	                                 "default" tenant (old clients keep
-//	                                 working against a multi-tenant host)
 //	GET  /healthz                    overall + per-tenant readiness
 //	GET  /metrics                    tenant-labeled paced_* families
 //
@@ -58,9 +55,6 @@ type Config struct {
 	// goroutine evaluates per micro-batch (default 64). Requests larger
 	// than wire.MaxBatch are rejected outright.
 	MaxBatch int
-	// BatchWindow is how long a model goroutine waits for more estimate
-	// requests after the first one arrives (default 200µs).
-	BatchWindow time.Duration
 	// QueueDepth bounds each tenant's estimate admission queue in
 	// requests (default 128). A full queue sheds with 429.
 	QueueDepth int
@@ -126,7 +120,6 @@ func (c Config) withDefaults() Config {
 func (c Config) TenantConfig() tenant.Config {
 	return tenant.Config{
 		MaxBatch:       c.MaxBatch,
-		BatchWindow:    c.BatchWindow,
 		QueueDepth:     c.QueueDepth,
 		ExecQueueDepth: c.ExecQueueDepth,
 		RatePerSec:     c.RatePerSec,
@@ -158,10 +151,10 @@ type Server struct {
 }
 
 // New builds a single-tenant server: target becomes the "default"
-// tenant, reachable over both the legacy and the routed wire. Callers
-// must eventually call Shutdown (or Close) even when they never Start a
-// listener — the handler form used with httptest still owns the model
-// goroutine. Runtime tenant creation needs cfg.Factory.
+// tenant, reachable at /v1/targets/default/... Callers must eventually
+// call Shutdown (or Close) even when they never Start a listener — the
+// handler form used with httptest still owns the model goroutine.
+// Runtime tenant creation needs cfg.Factory.
 func New(target ce.Target, meta *query.Meta, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := tenant.NewRegistry(cfg.Factory, cfg.TenantConfig())
@@ -190,7 +183,7 @@ func NewMulti(reg *tenant.Registry, cfg Config) *Server {
 	s.instrument(cfg.Telemetry.Registry())
 	s.core = httpserve.New(httpserve.Config{
 		Name: "targetserver", Metrics: "paced", Span: "srv", Realm: "paced", Noun: "server",
-		ShedStatus: http.StatusTooManyRequests, DeprecateLegacy: true,
+		ShedStatus: http.StatusTooManyRequests,
 		AuthTokens: cfg.AuthTokens, RetryAfter: cfg.RetryAfter, Telemetry: cfg.Telemetry,
 		SLOTarget: cfg.SLOTarget, SLOObjective: cfg.SLOObjective,
 	})

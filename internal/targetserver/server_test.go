@@ -131,7 +131,7 @@ func TestEstimateSingleAndBatchExact(t *testing.T) {
 
 	q1, q2 := openQuery(), openQuery()
 	q2.Bounds[0][0] = wire.FromFloat(0.5)
-	resp := postJSON(t, hs.URL+"/v1/estimate",
+	resp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
 		wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{q1, q2}}, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -176,7 +176,7 @@ func TestEstimateRejectsBadRequests(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		resp := postJSON(t, hs.URL+"/v1/estimate", tc.req, "")
+		resp := postJSON(t, hs.URL+"/v1/targets/default/estimate", tc.req, "")
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
@@ -189,7 +189,7 @@ func TestEstimateRejectsBadRequests(t *testing.T) {
 func TestModelErrorsMapOntoWire(t *testing.T) {
 	bb := &gateTarget{estErr: fmt.Errorf("boom: %w", ce.ErrInvalidQuery)}
 	_, hs := newTestServer(t, bb, targetserver.Config{})
-	resp := postJSON(t, hs.URL+"/v1/estimate",
+	resp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
 		wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid-query model error: status %d, want 400", resp.StatusCode)
@@ -200,7 +200,7 @@ func TestModelErrorsMapOntoWire(t *testing.T) {
 
 	bb2 := &gateTarget{estErr: fmt.Errorf("disk on fire")}
 	_, hs2 := newTestServer(t, bb2, targetserver.Config{})
-	resp2 := postJSON(t, hs2.URL+"/v1/estimate",
+	resp2 := postJSON(t, hs2.URL+"/v1/targets/default/estimate",
 		wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
 	if resp2.StatusCode != http.StatusInternalServerError {
 		t.Errorf("internal model error: status %d, want 500", resp2.StatusCode)
@@ -216,7 +216,7 @@ func TestExecuteAppliesFeedbackExactly(t *testing.T) {
 
 	// A card whose value only survives bit-exact transport.
 	card := math.Float64frombits(0x3ff123456789abcd)
-	resp := postJSON(t, hs.URL+"/v1/execute", wire.ExecuteRequest{
+	resp := postJSON(t, hs.URL+"/v1/targets/default/execute", wire.ExecuteRequest{
 		V:       wire.Version,
 		Queries: []wire.Query{openQuery()},
 		Cards:   []wire.B64{wire.FromFloat(card)},
@@ -235,7 +235,7 @@ func TestExecuteAppliesFeedbackExactly(t *testing.T) {
 	}
 
 	// Mismatched cards are a bad request, and nothing reaches the model.
-	resp2 := postJSON(t, hs.URL+"/v1/execute", wire.ExecuteRequest{
+	resp2 := postJSON(t, hs.URL+"/v1/targets/default/execute", wire.ExecuteRequest{
 		V:       wire.Version,
 		Queries: []wire.Query{openQuery()},
 	}, "")
@@ -250,11 +250,10 @@ func TestFullQueueShedsWith429(t *testing.T) {
 	bb := &gateTarget{gate: gate, entered: make(chan struct{}, 1)}
 	reg := obs.NewRegistry()
 	_, hs := newTestServer(t, bb, targetserver.Config{
-		MaxBatch:    1, // no gathering: the first job alone parks the model
-		QueueDepth:  1,
-		BatchWindow: time.Microsecond,
-		RetryAfter:  3 * time.Second,
-		Telemetry:   &obs.Telemetry{Reg: reg},
+		MaxBatch:   1, // no gathering: the first job alone parks the model
+		QueueDepth: 1,
+		RetryAfter: 3 * time.Second,
+		Telemetry:  &obs.Telemetry{Reg: reg},
 	})
 
 	// First request occupies the model goroutine (blocked on the gate),
@@ -263,7 +262,7 @@ func TestFullQueueShedsWith429(t *testing.T) {
 	results := make([]int, 2)
 	send := func(i int) {
 		defer wg.Done()
-		resp := postJSON(t, hs.URL+"/v1/estimate",
+		resp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
 			wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
 		results[i] = resp.StatusCode
 		resp.Body.Close()
@@ -281,7 +280,7 @@ func TestFullQueueShedsWith429(t *testing.T) {
 		t.Fatal("second request never queued")
 	}
 
-	shedResp := postJSON(t, hs.URL+"/v1/estimate",
+	shedResp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
 		wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
 	if shedResp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", shedResp.StatusCode)
@@ -315,13 +314,13 @@ func TestPerClientRateLimit(t *testing.T) {
 
 	est := wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}
 	for i := 0; i < 2; i++ {
-		resp := postJSON(t, hs.URL+"/v1/estimate", est, "alice")
+		resp := postJSON(t, hs.URL+"/v1/targets/default/estimate", est, "alice")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("alice call %d: status %d, want 200", i, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
-	resp := postJSON(t, hs.URL+"/v1/estimate", est, "alice")
+	resp := postJSON(t, hs.URL+"/v1/targets/default/estimate", est, "alice")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("alice over burst: status %d, want 429", resp.StatusCode)
 	}
@@ -329,7 +328,7 @@ func TestPerClientRateLimit(t *testing.T) {
 		t.Errorf("code %q, want %q", body.Code, wire.CodeRateLimited)
 	}
 	// A different identity has its own bucket.
-	resp2 := postJSON(t, hs.URL+"/v1/estimate", est, "bob")
+	resp2 := postJSON(t, hs.URL+"/v1/targets/default/estimate", est, "bob")
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("bob: status %d, want 200", resp2.StatusCode)
 	}
@@ -340,50 +339,67 @@ func TestPerClientRateLimit(t *testing.T) {
 	}
 }
 
+// TestMicroBatchingCoalesces parks the first estimate in the model
+// goroutine and queues n-1 more behind it: the model evaluates exactly
+// two batches, the lone first job and then everything that queued while
+// it was busy.
 func TestMicroBatchingCoalesces(t *testing.T) {
 	reg := obs.NewRegistry()
 	gate := make(chan struct{})
-	bb := &gateTarget{gate: gate}
-	_, hs := newTestServer(t, bb, targetserver.Config{
-		BatchWindow: 250 * time.Millisecond,
-		Telemetry:   &obs.Telemetry{Reg: reg},
-	})
+	bb := &gateTarget{gate: gate, entered: make(chan struct{}, 1)}
+	_, hs := newTestServer(t, bb, targetserver.Config{Telemetry: &obs.Telemetry{Reg: reg}})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // a failed check must not leave the requests parked
 
 	const n = 5
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp := postJSON(t, hs.URL+"/v1/estimate",
-				wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-			}
-			resp.Body.Close()
-		}()
+	send := func() {
+		defer wg.Done()
+		resp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
+			wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("status %d", resp.StatusCode)
+		}
+		resp.Body.Close()
 	}
-	// All n arrive well inside the 250ms gather window opened by the
-	// first; release the model once they are all enqueued or in-flight.
+	wg.Add(1)
+	go send()
+	<-bb.entered // the first job alone is now parked on the gate
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go send()
+	}
+	depth := reg.Gauge(dflt("paced_estimate_queue_depth"))
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter(dflt("paced_estimate_requests_total")).Value() < n && time.Now().Before(deadline) {
+	for depth.Value() < n-1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	close(gate)
+	if got := depth.Value(); got != n-1 {
+		t.Fatalf("paced_estimate_queue_depth = %d, want %d queued behind the parked job", got, n-1)
+	}
+	batch := reg.Histogram(dflt("paced_batch_queries"))
+	if c, sum := batch.Count(), batch.Sum(); c != 1 || sum != 1 {
+		t.Fatalf("before release: %d batches of %v queries, want 1 batch of 1", c, sum)
+	}
+	release()
 	wg.Wait()
 
 	if got := reg.Counter(dflt("paced_estimate_queries_total")).Value(); got != n {
 		t.Errorf("paced_estimate_queries_total = %d, want %d", got, n)
 	}
-	if got := reg.Counter(dflt("paced_batches_total")).Value(); got < 1 || got > 2 {
-		t.Errorf("paced_batches_total = %d, want 1 (micro-batched) or at most 2", got)
+	if got := reg.Counter(dflt("paced_batches_total")).Value(); got != 2 {
+		t.Errorf("paced_batches_total = %d, want 2", got)
+	}
+	if c, sum := batch.Count(), batch.Sum(); c != 2 || sum != n {
+		t.Errorf("paced_batch_queries: %d batches of %v queries in all, want 2 of %d (1, then %d)", c, sum, n, n-1)
 	}
 }
 
 func TestDrainAnswersHeldRequestsThenRefuses(t *testing.T) {
 	gate := make(chan struct{})
 	bb := &gateTarget{gate: gate}
-	srv, hs := newTestServer(t, bb, targetserver.Config{BatchWindow: time.Microsecond})
+	srv, hs := newTestServer(t, bb, targetserver.Config{})
 
 	// healthz is green before the drain.
 	resp, err := http.Get(hs.URL + "/healthz")
@@ -398,7 +414,7 @@ func TestDrainAnswersHeldRequestsThenRefuses(t *testing.T) {
 	// Park one request inside the model loop.
 	got := make(chan int, 1)
 	go func() {
-		resp := postJSON(t, hs.URL+"/v1/estimate",
+		resp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
 			wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
 		got <- resp.StatusCode
 		resp.Body.Close()
@@ -426,7 +442,7 @@ func TestDrainAnswersHeldRequestsThenRefuses(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r2 := postJSON(t, hs.URL+"/v1/estimate",
+	r2 := postJSON(t, hs.URL+"/v1/targets/default/estimate",
 		wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
 	if r2.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("estimate while draining: %d, want 503", r2.StatusCode)
@@ -449,7 +465,7 @@ func TestMetricsEndpointScrapes(t *testing.T) {
 	_, hs := newTestServer(t, &gateTarget{}, targetserver.Config{
 		Telemetry: &obs.Telemetry{Reg: reg},
 	})
-	resp := postJSON(t, hs.URL+"/v1/estimate",
+	resp := postJSON(t, hs.URL+"/v1/targets/default/estimate",
 		wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
 	resp.Body.Close()
 

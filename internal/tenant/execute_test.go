@@ -107,7 +107,7 @@ func newBlockedTenant(t *testing.T, bt *blockTarget) (tn *Tenant, unblock func()
 	t.Helper()
 	var once sync.Once
 	unblock = func() { once.Do(func() { close(bt.release) }) }
-	tn = NewTenant(Spec{ID: "t"}, bt, testMeta(), Config{BatchWindow: time.Microsecond, ExecQueueDepth: 1})
+	tn = NewTenant(Spec{ID: "t"}, bt, testMeta(), Config{ExecQueueDepth: 1})
 	t.Cleanup(func() {
 		unblock()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

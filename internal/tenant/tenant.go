@@ -8,7 +8,9 @@
 //   - a single model goroutine: CE model Forward passes and incremental
 //     updates are stateful, so every estimate and every retraining step
 //     of one tenant is serialized through its own loop, while different
-//     tenants proceed in parallel;
+//     tenants proceed in parallel. The loop batches the estimates already
+//     queued when it picks one up and never waits for more, so a lone
+//     estimate is answered at once and batches form only under load;
 //   - bounded admission queues (estimate and execute) that shed when
 //     full instead of queueing without limit;
 //   - per-client token buckets, so one tenant's noisy client cannot
@@ -109,9 +111,6 @@ type Config struct {
 	// MaxBatch caps the model goroutine's micro-batch in queries
 	// (default 64).
 	MaxBatch int
-	// BatchWindow is how long the model goroutine gathers more estimate
-	// jobs after the first (default 200µs).
-	BatchWindow time.Duration
 	// QueueDepth bounds the estimate admission queue (default 128).
 	QueueDepth int
 	// ExecQueueDepth bounds the execute queue (default 8).
@@ -135,9 +134,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
@@ -478,7 +474,7 @@ func (t *Tenant) Drain(ctx context.Context) error {
 }
 
 // modelLoop is the single goroutine that owns the tenant's estimator: it
-// gathers estimate jobs into micro-batches and runs execute jobs one at
+// evaluates estimate jobs in micro-batches and runs execute jobs one at
 // a time. After stop it drains whatever is still queued (their callers
 // are waiting on replies) and exits.
 func (t *Tenant) modelLoop() {
@@ -486,7 +482,6 @@ func (t *Tenant) modelLoop() {
 	for {
 		select {
 		case j := <-t.estQ:
-			t.m.QueueDepth.Add(-1)
 			t.gatherAndEval(j)
 		case j := <-t.execQ:
 			t.runExec(j)
@@ -497,27 +492,26 @@ func (t *Tenant) modelLoop() {
 	}
 }
 
-// gatherAndEval collects more estimate jobs for up to BatchWindow (or
-// until MaxBatch queries are pending), then evaluates them all.
+// gatherAndEval batches first with the estimate jobs already queued
+// behind it, up to MaxBatch queries, and evaluates them all. It never
+// waits for more: a batch forms only from jobs that queued while the
+// model goroutine was busy, the one time batching pays.
 func (t *Tenant) gatherAndEval(first *estJob) {
-	first.wait.End()
 	batch := []*estJob{first}
 	n := len(first.qs)
-	timer := time.NewTimer(t.cfg.BatchWindow)
-	defer timer.Stop()
 gather:
 	for n < t.cfg.MaxBatch {
 		select {
 		case j := <-t.estQ:
-			t.m.QueueDepth.Add(-1)
-			j.wait.End()
 			batch = append(batch, j)
 			n += len(j.qs)
-		case <-timer.C:
-			break gather
-		case <-t.stop:
+		default:
 			break gather
 		}
+	}
+	t.m.QueueDepth.Add(-int64(len(batch)))
+	for _, j := range batch {
+		j.wait.End()
 	}
 	t.m.Batches.Inc()
 	t.m.Batch.Observe(float64(n))
@@ -579,9 +573,7 @@ func (t *Tenant) drainQueues() {
 	for {
 		select {
 		case j := <-t.estQ:
-			t.m.QueueDepth.Add(-1)
-			j.wait.End()
-			j.reply <- t.evalJob(j)
+			t.gatherAndEval(j)
 		case j := <-t.execQ:
 			t.runExec(j)
 		default:

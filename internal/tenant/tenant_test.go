@@ -54,13 +54,32 @@ func newTestTenant(t *testing.T, spec Spec, target ce.Target) *Tenant {
 	if spec.ID == "" {
 		spec.ID = "t"
 	}
-	tn := NewTenant(spec, target, testMeta(), Config{BatchWindow: time.Microsecond})
+	tn := NewTenant(spec, target, testMeta(), Config{})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		tn.Drain(ctx) //nolint:errcheck // best-effort test cleanup
 	})
 	return tn
+}
+
+// TestLoneEstimateNeverWaits: an estimate that finds the model goroutine
+// idle is evaluated at once, not held for company. 200 serial estimates
+// must finish in under 40ms, the least a 200µs gather timer would cost
+// them, since a timer never fires early.
+func TestLoneEstimateNeverWaits(t *testing.T) {
+	tn := newTestTenant(t, Spec{}, &countTarget{})
+	ctx := context.Background()
+	qs := []*query.Query{testQuery(0.25)}
+	start := time.Now()
+	for i := 0; i < 200; i++ {
+		if _, err := tn.Estimate(ctx, qs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took >= 40*time.Millisecond {
+		t.Fatalf("200 lone estimates took %v, want < 40ms", took)
+	}
 }
 
 func TestEstimateCacheHitsAreBitExactAndFlushOnExecute(t *testing.T) {
@@ -449,7 +468,7 @@ func TestRegistryDrainDuringCreateRace(t *testing.T) {
 // estimates must either serve or fail cleanly (ErrDraining/NotFound) and
 // the drain must wait for queued work. Run with -race.
 func TestRegistryDeleteDuringEstimateRace(t *testing.T) {
-	r := NewRegistry(stubFactory(0), Config{BatchWindow: time.Microsecond})
+	r := NewRegistry(stubFactory(0), Config{})
 	ctx := context.Background()
 	const rounds = 10
 	for n := 0; n < rounds; n++ {

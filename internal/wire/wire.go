@@ -146,7 +146,7 @@ func DecodeQueries(m *query.Meta, wqs []Query) ([]*query.Query, error) {
 }
 
 // EstimateRequest asks for the estimator's cardinality estimate of each
-// query. POST /v1/estimate.
+// query. POST /v1/targets/{id}/estimate.
 type EstimateRequest struct {
 	V       int     `json:"v"`
 	Queries []Query `json:"queries"`
@@ -161,7 +161,7 @@ type EstimateResponse struct {
 
 // ExecuteRequest reports executed queries and their true cardinalities —
 // the feedback channel that drives the estimator's incremental
-// retraining. POST /v1/execute.
+// retraining. POST /v1/targets/{id}/execute.
 type ExecuteRequest struct {
 	V       int     `json:"v"`
 	Queries []Query `json:"queries"`
