@@ -12,9 +12,10 @@
 //     once, and a fault injector wrapped around the target composes
 //     without double accounting.
 //   - With Options.CoalesceWindow set, concurrent EstimateContext
-//     callers coalesce into server batches: the first caller opens the
-//     window; callers arriving inside it ride the same estimate POST,
-//     up to Options.MaxBatch queries.
+//     callers coalesce by Nagle's rule, with no timer: a call goes out
+//     at once when none of its target's estimate requests is in flight
+//     or the queue fills Options.MaxBatch, and otherwise queues for the
+//     request sent when the last in-flight one completes.
 //   - An ExecuteWorkload call is one POST and one retrain on the
 //     server, never split. It carries an X-Pace-Execute-Token: fresh
 //     per logical call, reused only when the same workload is sent
@@ -112,11 +113,11 @@ type Options struct {
 	// MaxBatch caps queries per wire request (default 64, the server's
 	// default micro-batch).
 	MaxBatch int
-	// CoalesceWindow is how long the first of a burst of concurrent
-	// EstimateContext calls waits for companions before flushing one
-	// batched request. Zero (the default) or less disables coalescing:
-	// every call is its own request, which the load generator relies on
-	// for per-request latency.
+	// CoalesceWindow, when positive, turns on coalescing by Nagle's
+	// rule (see the package doc); the duration itself is not read. Zero
+	// (the default) or less disables coalescing: every call is its own
+	// request, which the load generator relies on for per-request
+	// latency.
 	CoalesceWindow time.Duration
 	// RequestTimeout bounds one HTTP exchange when the caller's context
 	// has no earlier deadline (default 30s).
@@ -170,8 +171,8 @@ type Stats struct {
 	Requests int64
 	// Queries is the number of queries carried across all exchanges.
 	Queries int64
-	// Coalesced counts estimate calls that rode a batch opened by
-	// another caller.
+	// Coalesced counts estimate calls that queued and rode a request
+	// another caller sent.
 	Coalesced int64
 	// Overloaded, Invalid, Unavailable count classified failures.
 	Overloaded, Invalid, Unavailable int64
@@ -201,9 +202,9 @@ type RemoteTarget struct {
 	codec      wire.Codec  // configured data codec
 	downgraded atomic.Bool // sticky JSON fallback after a 415
 
-	mu      sync.Mutex
-	pending []*pendingEst
-	flushT  *time.Timer
+	mu       sync.Mutex
+	pending  []*pendingEst // queued calls, never more than MaxBatch
+	inFlight int           // estimate requests sent and not yet complete
 
 	requests, queries, coalesced          atomic.Int64
 	overloaded, invalid, unavailableCount atomic.Int64
@@ -232,13 +233,10 @@ type pendingRes struct {
 	err error
 }
 
-// Close flushes any open coalescing window and releases pooled
-// connections.
+// Close sends the queued estimate calls, without waiting for the
+// requests in flight, and releases pooled connections.
 func (t *RemoteTarget) Close() {
 	t.mu.Lock()
-	if t.flushT != nil {
-		t.flushT.Stop()
-	}
 	batch := t.takeBatchLocked()
 	t.mu.Unlock()
 	if len(batch) > 0 {
@@ -276,27 +274,14 @@ func (t *RemoteTarget) EstimateContext(ctx context.Context, q *query.Query) (flo
 	p := &pendingEst{ctx: ctx, q: q, res: make(chan pendingRes, 1)}
 	t.mu.Lock()
 	t.pending = append(t.pending, p)
-	switch {
-	case len(t.pending) == 1:
-		// First in the window: arm the flush timer.
-		t.flushT = time.AfterFunc(t.opts.CoalesceWindow, t.flushWindow)
-	case len(t.pending) >= t.opts.MaxBatch:
-		if t.flushT != nil {
-			t.flushT.Stop()
-		}
+	if t.inFlight < maxInFlight || len(t.pending) >= t.opts.MaxBatch {
 		batch := t.takeBatchLocked()
 		t.mu.Unlock()
-		t.coalesced.Add(1)
 		t.sendBatch(batch)
-		return t.await(ctx, p)
-	default:
+	} else {
 		t.coalesced.Add(1)
+		t.mu.Unlock()
 	}
-	t.mu.Unlock()
-	return t.await(ctx, p)
-}
-
-func (t *RemoteTarget) await(ctx context.Context, p *pendingEst) (float64, error) {
 	select {
 	case r := <-p.res:
 		return r.est, r.err
@@ -305,20 +290,20 @@ func (t *RemoteTarget) await(ctx context.Context, p *pendingEst) (float64, error
 	}
 }
 
+// maxInFlight caps a coalescing target's estimate requests in flight;
+// full batches go regardless but count toward it. A cap of 2 cut
+// perfbench's serve-read rate by about a quarter.
+const maxInFlight = 1
+
+// takeBatchLocked books the queued calls as one request in flight and
+// returns them; nil when none is queued.
 func (t *RemoteTarget) takeBatchLocked() []*pendingEst {
 	batch := t.pending
-	t.pending = nil
-	t.flushT = nil
-	return batch
-}
-
-func (t *RemoteTarget) flushWindow() {
-	t.mu.Lock()
-	batch := t.takeBatchLocked()
-	t.mu.Unlock()
 	if len(batch) > 0 {
-		t.sendBatch(batch)
+		t.pending = nil
+		t.inFlight++
 	}
+	return batch
 }
 
 // sendBatch issues one wire request for the batch and fans results back
@@ -342,6 +327,18 @@ func (t *RemoteTarget) sendBatch(batch []*pendingEst) {
 		} else {
 			p.res <- pendingRes{est: ests[i]}
 		}
+	}
+	// Only the last request in flight hands the queue on, to its own
+	// goroutine so that this request's sender returns at once.
+	t.mu.Lock()
+	t.inFlight--
+	var next []*pendingEst
+	if t.inFlight == 0 {
+		next = t.takeBatchLocked()
+	}
+	t.mu.Unlock()
+	if len(next) > 0 {
+		go t.sendBatch(next)
 	}
 }
 

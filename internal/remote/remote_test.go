@@ -8,8 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,14 +34,25 @@ func testQuery() *query.Query {
 	return q
 }
 
-// echoServer answers estimates with a fixed bit pattern per query and
-// counts requests and queries. It speaks whatever codec the request
-// body arrived in, like a real paced host.
-func echoServer(t *testing.T, est float64) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
+// echoServer answers estimates with a fixed bit pattern per query, in
+// whatever codec the request body arrived in, like a real paced host.
+// It records each request's query count in arrival order and parks the
+// request numbered i (from 0) in holds until release(i). Every hold is
+// released at cleanup, so a failed check leaves no request parked.
+type echo struct {
+	url   string
+	mu    sync.Mutex
+	sizes []int
+	gates map[int]chan struct{}
+}
+
+func echoServer(t *testing.T, est float64, holds ...int) *echo {
 	t.Helper()
-	var reqs, queries atomic.Int64
+	h := &echo{gates: map[int]chan struct{}{}}
+	for _, i := range holds {
+		h.gates[i] = make(chan struct{})
+	}
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Add(1)
 		c, ok := wire.CodecForContentType(r.Header.Get("Content-Type"))
 		if !ok {
 			t.Errorf("server: unknown content type %q", r.Header.Get("Content-Type"))
@@ -57,7 +68,13 @@ func echoServer(t *testing.T, est float64) (*httptest.Server, *atomic.Int64, *at
 			t.Errorf("server decode: %v", err)
 			return
 		}
-		queries.Add(int64(len(req.Queries)))
+		h.mu.Lock()
+		gate := h.gates[len(h.sizes)]
+		h.sizes = append(h.sizes, len(req.Queries))
+		h.mu.Unlock()
+		if gate != nil {
+			<-gate
+		}
 		ests := make([]wire.B64, len(req.Queries))
 		for i := range ests {
 			ests[i] = wire.FromFloat(est)
@@ -70,8 +87,31 @@ func echoServer(t *testing.T, est float64) (*httptest.Server, *atomic.Int64, *at
 		w.Header().Set("Content-Type", c.ContentType())
 		w.Write(blob)
 	}))
-	t.Cleanup(hs.Close)
-	return hs, &reqs, &queries
+	t.Cleanup(func() {
+		for i := range h.gates {
+			h.release(i)
+		}
+		hs.Close()
+	})
+	h.url = hs.URL
+	return h
+}
+
+// release lets the request numbered i answer; a second call is a no-op.
+func (h *echo) release(i int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if g := h.gates[i]; g != nil {
+		close(g)
+		h.gates[i] = nil
+	}
+}
+
+// requestSizes returns the query count of every request seen so far.
+func (h *echo) requestSizes() []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]int(nil), h.sizes...)
 }
 
 func newTarget(t *testing.T, url string, opts remote.Options) *remote.RemoteTarget {
@@ -99,8 +139,7 @@ func TestNewRejectsBadURL(t *testing.T) {
 func TestEstimateExactBits(t *testing.T) {
 	// A value float JSON could not carry: a NaN with payload.
 	nan := math.Float64frombits(0x7ff800000000beef)
-	hs, _, _ := echoServer(t, nan)
-	rt := newTarget(t, hs.URL, remote.Options{CoalesceWindow: 0})
+	rt := newTarget(t, echoServer(t, nan).url, remote.Options{CoalesceWindow: 0})
 	got, err := rt.EstimateContext(context.Background(), testQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -240,74 +279,198 @@ func TestContextErrorsAreNotTransient(t *testing.T) {
 	}
 }
 
-// TestCoalescingMergesConcurrentCalls: concurrent estimates inside one
-// window ride one wire request.
-func TestCoalescingMergesConcurrentCalls(t *testing.T) {
-	hs, reqs, queries := echoServer(t, 7)
-	rt := newTarget(t, hs.URL, remote.Options{CoalesceWindow: 100 * time.Millisecond})
-
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			est, err := rt.EstimateContext(context.Background(), testQuery())
-			if err == nil && est != 7 {
-				t.Errorf("estimate %v, want 7", est)
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-	}
-	if got := reqs.Load(); got != 1 {
-		t.Errorf("%d wire requests, want 1 (coalesced)", got)
-	}
-	if got := queries.Load(); got != n {
-		t.Errorf("%d queries crossed, want %d", got, n)
-	}
-	if st := rt.Stats(); st.Coalesced != n-1 {
-		t.Errorf("Stats.Coalesced = %d, want %d", st.Coalesced, n-1)
 	}
 }
 
-// TestMaxBatchFlushesEarly: hitting MaxBatch flushes without waiting
-// out the window.
-func TestMaxBatchFlushesEarly(t *testing.T) {
-	hs, reqs, _ := echoServer(t, 1)
-	rt := newTarget(t, hs.URL, remote.Options{
-		CoalesceWindow: 10 * time.Second, // would time the test out if waited
-		MaxBatch:       2,
-	})
+// estimateAsync runs one estimate on its own goroutine and delivers its
+// error, checking the echoed value on success.
+func estimateAsync(t *testing.T, ctx context.Context, rt *remote.RemoteTarget) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		est, err := rt.EstimateContext(ctx, testQuery())
+		if err == nil && est != 7 {
+			t.Errorf("estimate %v, want 7", est)
+		}
+		done <- err
+	}()
+	return done
+}
+
+// result waits for an estimateAsync call's error, failing the test if
+// the call has not returned within 5 s.
+func result(t *testing.T, done <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("estimate did not return within 5 s")
+		return nil
+	}
+}
+
+func checkSizes(t *testing.T, h *echo, want ...int) {
+	t.Helper()
+	if got := h.requestSizes(); !slices.Equal(got, want) {
+		t.Errorf("queries per wire request %v, want %v", got, want)
+	}
+}
+
+// TestLoneEstimateSendsAtOnce: with no request in flight, an estimate
+// goes out at once, whatever the window.
+func TestLoneEstimateSendsAtOnce(t *testing.T) {
+	h := echoServer(t, 7)
+	rt := newTarget(t, h.url, remote.Options{CoalesceWindow: 10 * time.Second})
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := rt.EstimateContext(context.Background(), testQuery()); err != nil {
-				t.Error(err)
-			}
-		}()
+	if _, err := rt.EstimateContext(context.Background(), testQuery()); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("flush waited %v; MaxBatch should flush immediately", elapsed)
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("lone estimate took %v; it must not wait for companions", elapsed)
 	}
-	if got := reqs.Load(); got != 1 {
-		t.Errorf("%d wire requests, want 1", got)
+	checkSizes(t, h, 1)
+	if st := rt.Stats(); st.Coalesced != 0 {
+		t.Errorf("Stats.Coalesced = %d, want 0", st.Coalesced)
+	}
+}
+
+// TestQueuedCallsRideTheNextRequest: calls arriving while a request is
+// in flight queue, and its completion sends them all as one request.
+func TestQueuedCallsRideTheNextRequest(t *testing.T) {
+	h := echoServer(t, 7, 0)
+	rt := newTarget(t, h.url, remote.Options{CoalesceWindow: time.Millisecond})
+	const n = 8
+	done := []<-chan error{estimateAsync(t, context.Background(), rt)}
+	waitFor(t, "the first request", func() bool { return len(h.requestSizes()) == 1 })
+	for i := 1; i < n; i++ {
+		done = append(done, estimateAsync(t, context.Background(), rt))
+	}
+	waitFor(t, "n-1 queued calls", func() bool { return rt.Stats().Coalesced == n-1 })
+	checkSizes(t, h, 1)
+	h.release(0)
+	for i, d := range done {
+		if err := result(t, d); err != nil {
+			t.Errorf("call %d: %v", i, err)
+		}
+	}
+	checkSizes(t, h, 1, n-1)
+}
+
+// TestFullBatchGoesWhileHeld: a queue that fills MaxBatch goes out at
+// once, even with a request in flight.
+func TestFullBatchGoesWhileHeld(t *testing.T) {
+	h := echoServer(t, 7, 0)
+	rt := newTarget(t, h.url, remote.Options{CoalesceWindow: 10 * time.Second, MaxBatch: 2})
+	first := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "the first request", func() bool { return len(h.requestSizes()) == 1 })
+	b, c := estimateAsync(t, context.Background(), rt), estimateAsync(t, context.Background(), rt)
+	for _, d := range []<-chan error{b, c} {
+		if err := result(t, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSizes(t, h, 1, 2)
+	h.release(0)
+	if err := result(t, first); err != nil {
+		t.Fatal(err)
+	}
+	checkSizes(t, h, 1, 2)
+}
+
+// TestHandOffWaitsForTheLastRequest: a full batch counts toward the
+// in-flight cap, so its completion leaves the queue to the small request
+// still in flight, and the queue goes only when that one completes.
+func TestHandOffWaitsForTheLastRequest(t *testing.T) {
+	h := echoServer(t, 7, 0, 1)
+	rt := newTarget(t, h.url, remote.Options{CoalesceWindow: time.Millisecond, MaxBatch: 2})
+	small := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "the small request", func() bool { return len(h.requestSizes()) == 1 })
+	b := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "one queued call", func() bool { return rt.Stats().Coalesced == 1 })
+	c := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "the full batch", func() bool { return len(h.requestSizes()) == 2 })
+	d := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "a call queued behind both", func() bool { return rt.Stats().Coalesced == 2 })
+
+	h.release(1) // the full batch completes; the small request is still held
+	for _, done := range []<-chan error{b, c} {
+		if err := result(t, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// c sent the full batch on its own goroutine, so its return follows
+	// that request's completion. No request may follow it: the queued
+	// call waits for the small one. The pause gives a wrong hand-off,
+	// which would start a goroutine, time to reach the server.
+	time.Sleep(50 * time.Millisecond)
+	checkSizes(t, h, 1, 2)
+	select {
+	case err := <-d:
+		t.Fatalf("queued call answered while the small request was held (err %v)", err)
+	default:
+	}
+
+	h.release(0)
+	for _, done := range []<-chan error{small, d} {
+		if err := result(t, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSizes(t, h, 1, 2, 1)
+}
+
+// TestQueuedCallerCancelReturnsCtxErr: a queued caller whose context
+// ends returns ctx.Err() at once, and its query still rides the next
+// request.
+func TestQueuedCallerCancelReturnsCtxErr(t *testing.T) {
+	h := echoServer(t, 7, 0)
+	rt := newTarget(t, h.url, remote.Options{CoalesceWindow: time.Millisecond})
+	first := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "the first request", func() bool { return len(h.requestSizes()) == 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := estimateAsync(t, ctx, rt)
+	waitFor(t, "the queued call", func() bool { return rt.Stats().Coalesced == 1 })
+	cancel()
+	if err := result(t, gone); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled queued call: err %v, want context.Canceled", err)
+	}
+	h.release(0)
+	if err := result(t, first); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the cancelled call's request", func() bool { return len(h.requestSizes()) == 2 })
+	checkSizes(t, h, 1, 1)
+}
+
+// TestCloseSendsTheQueue: Close sends the queued calls at once, without
+// waiting for the request in flight.
+func TestCloseSendsTheQueue(t *testing.T) {
+	h := echoServer(t, 7, 0)
+	rt := newTarget(t, h.url, remote.Options{CoalesceWindow: time.Millisecond})
+	held := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "the held request", func() bool { return len(h.requestSizes()) == 1 })
+	queued := estimateAsync(t, context.Background(), rt)
+	waitFor(t, "the queued call", func() bool { return rt.Stats().Coalesced == 1 })
+	rt.Close()
+	if err := result(t, queued); err != nil {
+		t.Fatalf("queued call after Close: %v", err)
+	}
+	checkSizes(t, h, 1, 1)
+	h.release(0)
+	if err := result(t, held); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestStatsCountTraffic(t *testing.T) {
-	hs, _, _ := echoServer(t, 3)
-	rt := newTarget(t, hs.URL, remote.Options{CoalesceWindow: 0})
+	rt := newTarget(t, echoServer(t, 3).url, remote.Options{CoalesceWindow: 0})
 	for i := 0; i < 4; i++ {
 		if _, err := rt.EstimateContext(context.Background(), testQuery()); err != nil {
 			t.Fatal(err)
